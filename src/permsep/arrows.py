@@ -22,6 +22,12 @@ The class of a permutation is the pair (head set, tail set) of its
 disjoint configuration, taken modulo flipping.  ``canonical_key`` picks a
 fixed representative of each class; two permutations yield the same
 separability criterion exactly when their keys agree.
+
+``canonical_key`` reads the key off the parity profile of sigma (which
+points it sends to odd slots): heads = {l : sigma(2l-1) even} and tails =
+{k : sigma(2k) odd}, flip-reduced, since a norm-preserving right factor
+keeps that profile or complements it, and complementing is a flip.  The
+rewrite rules produce the normal form and the trace that explain the key.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .perms import Permutation, compose, inverse, permutation_from_cycles, _cycles_of_images
+from .perms import Permutation, compose, cycle_decomposition, inverse
+from .perms import permutation_from_cycles, _cycles_of_images, _render_cycles
 
 __all__ = [
     "Arrow",
@@ -123,9 +130,7 @@ class ArrowConfiguration:
         return True
 
     def render(self) -> str:
-        if not self.arrows:
-            return "()"
-        return ", ".join(a.render() for a in self.sorted_arrows())
+        return _render_arrows(self.arrows)
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,7 @@ class CanonicalKey:
                 raise ValueError(f"{name} leave subsystems 1..{self.r}: {seq}")
         if len(self.heads) != len(self.tails):
             raise ValueError("head and tail sets must have equal size")
-        partner = _flip_sets(self.r, self.heads, self.tails)
-        if _key_rank(partner) < _key_rank((self.heads, self.tails)):
+        if _reduce_sets(self.r, self.heads, self.tails) != (self.heads, self.tails):
             raise ValueError(
                 f"key H={set(self.heads) or {}} T={set(self.tails) or {}} "
                 "is not flip-reduced"
@@ -171,7 +175,7 @@ class CanonicalKey:
     @property
     def rank(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Deterministic sort rank: (#arrows + #loops, tails, heads)."""
-        return (len(self.heads), self.tails, self.heads)
+        return _key_rank((self.heads, self.tails))
 
     def render(self) -> str:
         h = "{" + ",".join(str(k) for k in self.heads) + "}"
@@ -208,12 +212,6 @@ class CanonicalizationTrace:
 # The workers below operate on lists of ints so that exhaustive runs over
 # whole symmetric groups stay cheap.  `steps` is either None or a list
 # collecting RewriteStep records.
-
-
-def _render_cycles(cycles: Sequence[Sequence[int]]) -> str:
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycles)
 
 
 def _prune_cycles(
@@ -309,15 +307,7 @@ def _render_arrows(arrows: Iterable[tuple[int, int]]) -> str:
     items = sorted(arrows)
     if not items:
         return "()"
-    return ", ".join(f"@{t}" if t == h else f"{t}->{h}" for t, h in items)
-
-
-def _exchange_multiplier(
-    a: tuple[int, int], b: tuple[int, int]
-) -> tuple[tuple[int, ...], ...]:
-    t1, h1 = a
-    t2, h2 = b
-    return ((2 * h1 - 1, 2 * h2 - 1), (2 * t1, 2 * t2))
+    return ", ".join(Arrow(*a).render() for a in items)
 
 
 def _untangle(
@@ -357,7 +347,7 @@ def _untangle(
                         f"exchange heads of {_render_arrows([a])} "
                         f"and {_render_arrows([b])}"
                     ),
-                    multiplier=_exchange_multiplier(a, b),
+                    multiplier=((2 * a[1] - 1, 2 * b[1] - 1), (2 * a[0], 2 * b[0])),
                     state=_render_arrows(work),
                 )
             )
@@ -370,13 +360,10 @@ def _flip_sets(
 
     Flipping reverses arrows, removes loops, and puts loops on every free
     subsystem: new heads are the old non-loop tails plus the old free set,
-    and symmetrically for tails.
+    which is the complement of the old heads, and symmetrically for tails.
     """
-    hs, ts = set(heads), set(tails)
-    loops = hs & ts
-    free = set(range(1, r + 1)) - hs - ts
-    new_heads = (ts - loops) | free
-    new_tails = (hs - loops) | free
+    everything = set(range(1, r + 1))
+    new_heads, new_tails = everything - set(heads), everything - set(tails)
     return (tuple(sorted(new_heads)), tuple(sorted(new_tails)))
 
 
@@ -390,25 +377,38 @@ def _key_rank(
 def _reduce_sets(
     r: int, heads: Iterable[int], tails: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lower-ranked of the (heads, tails) pair and its flip partner.
+
+    Equal ranks mean equal sets, and flipping has no fixed point, so the
+    choice is never a tie.
+    """
     mine = (tuple(sorted(heads)), tuple(sorted(tails)))
-    partner = _flip_sets(r, *mine)
-    if _key_rank(partner) < _key_rank(mine):
-        return partner
-    if _key_rank(partner) == _key_rank(mine) and partner != mine:
-        raise RuntimeError(f"flip tie between distinct keys {mine} and {partner}")
-    return mine
+    return min(mine, _flip_sets(r, *mine), key=_key_rank)
 
 
-def _canonical_key_sets(
-    images: Sequence[int],
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lean pipeline: cycles -> prune -> chop -> untangle -> reduced key."""
-    cycles = _cycles_of_images(images)
-    pruned = _prune_cycles(cycles, None)
-    transpositions = _chop_cycles(pruned, None)
-    arrows = _untangle([_arrow_of_transposition(t) for t in transpositions], None)
-    r = len(images) // 2
-    return _reduce_sets(r, (h for _, h in arrows), (t for t, _ in arrows))
+def _rewrite(
+    images: Sequence[int], steps: list[RewriteStep] | None = None
+) -> list[tuple[int, int]]:
+    """The rewrite route: cycles -> prune -> chop -> read arrows -> untangle.
+
+    Returns the (tail, head) pairs of the disjoint configuration.
+    """
+    pruned = _prune_cycles(_cycles_of_images(images), steps)
+    arrows = [_arrow_of_transposition(t) for t in _chop_cycles(pruned, steps)]
+    if steps is not None:
+        steps.append(
+            RewriteStep(
+                rule="read-arrows",
+                detail="read arrows off the transpositions",
+                multiplier=(),
+                state=_render_arrows(arrows),
+            )
+        )
+    return _untangle(arrows, steps)
+
+
+def _configuration(r: int, arrows: Iterable[tuple[int, int]]) -> ArrowConfiguration:
+    return ArrowConfiguration(r, frozenset(Arrow(t, h) for t, h in arrows))
 
 
 # --- public operations -------------------------------------------------------
@@ -489,28 +489,47 @@ def normal_form(sigma: Permutation) -> ArrowConfiguration:
     heads (lowest tail first) until no arrow's head is another's tail.
     The result differs from sigma by a norm-preserving right factor.
     """
-    cycles = _cycles_of_images(sigma.images)
-    pruned = _prune_cycles(cycles, None)
-    transpositions = _chop_cycles(pruned, None)
-    arrows = _untangle([_arrow_of_transposition(t) for t in transpositions], None)
-    return ArrowConfiguration(
-        sigma.subsystems, frozenset(Arrow(t, h) for t, h in arrows)
-    )
+    return _configuration(sigma.subsystems, _rewrite(sigma.images))
 
 
 def canonical_key(sigma: Permutation) -> CanonicalKey:
     """Flip-reduced (heads, tails) pair of sigma's disjoint configuration.
 
-    Two permutations of equal degree share a key exactly when one is the
-    other times a norm-preserving permutation on the right.
+    Read off the parity profile: heads are the l with sigma(2l-1) even,
+    tails the k with sigma(2k) odd.  Two permutations of equal degree
+    share a key exactly when one is the other times a norm-preserving
+    permutation on the right.
     """
-    heads, tails = _canonical_key_sets(sigma.images)
-    return CanonicalKey(sigma.subsystems, heads, tails)
+    r = sigma.subsystems
+    rows, cols = sigma.images[0::2], sigma.images[1::2]
+    heads = [l for l, img in enumerate(rows, start=1) if img % 2 == 0]
+    tails = [k for k, img in enumerate(cols, start=1) if img % 2 == 1]
+    return CanonicalKey(r, *_reduce_sets(r, heads, tails))
 
 
 def key_of_configuration(config: ArrowConfiguration) -> CanonicalKey:
     heads, tails = _reduce_sets(config.r, config.heads, config.tails)
     return CanonicalKey(config.r, heads, tails)
+
+
+def _equivalence(
+    sigma: Permutation, tau: Permutation
+) -> tuple[CanonicalKey, CanonicalKey, Permutation, bool]:
+    """(key of sigma, key of tau, witness tau^-1 * sigma, verdict); see
+    ``equivalent``."""
+    from .normgroup import is_norm_preserving
+
+    if sigma.degree != tau.degree:
+        raise ValueError(f"degree mismatch: {sigma.degree} vs {tau.degree}")
+    key1, key2 = canonical_key(sigma), canonical_key(tau)
+    witness = compose(inverse(tau), sigma)
+    same = key1 == key2
+    if same != is_norm_preserving(witness):
+        raise RuntimeError(
+            "internal error: canonical keys and the parity membership test "
+            f"disagree for {sigma} and {tau}"
+        )
+    return key1, key2, witness, same
 
 
 def equivalent(sigma: Permutation, tau: Permutation) -> bool:
@@ -520,43 +539,16 @@ def equivalent(sigma: Permutation, tau: Permutation) -> bool:
     test on tau^-1 * sigma; the two routes must agree or a RuntimeError is
     raised.
     """
-    from .normgroup import is_norm_preserving
-
-    if sigma.degree != tau.degree:
-        raise ValueError(f"degree mismatch: {sigma.degree} vs {tau.degree}")
-    by_key = canonical_key(sigma) == canonical_key(tau)
-    by_parity = is_norm_preserving(compose(inverse(tau), sigma))
-    if by_key != by_parity:
-        raise RuntimeError(
-            "internal error: canonical keys and the parity membership test "
-            f"disagree for {sigma} and {tau}"
-        )
-    return by_key
+    return _equivalence(sigma, tau)[3]
 
 
 def canonicalize(sigma: Permutation) -> CanonicalizationTrace:
     """Full canonicalization with a step-by-step rewrite trace."""
     steps: list[RewriteStep] = []
-    cycles = _cycles_of_images(sigma.images)
-    input_cycles = tuple(tuple(c) for c in cycles)
-    pruned = _prune_cycles(cycles, steps)
-    transpositions = _chop_cycles(pruned, steps)
-    arrows = [_arrow_of_transposition(t) for t in transpositions]
-    steps.append(
-        RewriteStep(
-            rule="read-arrows",
-            detail="read arrows off the transpositions",
-            multiplier=(),
-            state=_render_arrows(arrows),
-        )
-    )
-    final = _untangle(arrows, steps)
-    config = ArrowConfiguration(
-        sigma.subsystems, frozenset(Arrow(t, h) for t, h in final)
-    )
+    config = _configuration(sigma.subsystems, _rewrite(sigma.images, steps))
     return CanonicalizationTrace(
         degree=sigma.degree,
-        input_cycles=input_cycles,
+        input_cycles=cycle_decomposition(sigma),
         steps=tuple(steps),
         configuration=config,
         key=key_of_configuration(config),

@@ -8,14 +8,13 @@ import sys
 
 import click
 
-from .perms import PermutationParseError, compose, inverse, parse_permutation
-from .arrows import canonical_key, canonicalize
+from .perms import PermutationParseError, _render_cycles, parse_permutation
+from .arrows import _equivalence, canonicalize
 from .normgroup import (
     MAX_CLASS_R,
     census_records,
     class_count,
     enumerate_classes,
-    is_norm_preserving,
     representative_permutation,
     type_label,
 )
@@ -49,6 +48,13 @@ def _check_r(r: int) -> int:
     return r
 
 
+def _check_tolerance(ctx, param, value: float) -> float:
+    # "not >=" also rejects nan, which would call every state UNDETECTED
+    if not value >= 0:
+        raise click.BadParameter(f"{value} is not >= 0")
+    return value
+
+
 @click.group()
 def main() -> None:
     """Permutation separability criteria for multipartite states.
@@ -70,18 +76,9 @@ def canon(subsystems: int, show_trace: bool, show_sketch: bool, perm: str) -> No
     sigma = _parse_or_fail(perm, r)
     trace = canonicalize(sigma)
     if show_trace:
-        cycles = trace.input_cycles
-        rendered = (
-            "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
-            if cycles
-            else "()"
-        )
-        click.echo(f"cycles: {rendered}")
+        click.echo(f"cycles: {_render_cycles(trace.input_cycles)}")
         for step in trace.steps:
-            mult = (
-                "".join("(" + ",".join(map(str, c)) + ")" for c in step.multiplier)
-                or "-"
-            )
+            mult = _render_cycles(step.multiplier) if step.multiplier else "-"
             click.echo(
                 f"{step.rule}: {step.detail}; multiplier {mult} -> {step.state}"
             )
@@ -110,20 +107,17 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
     r = _check_r(subsystems)
     sigma = _parse_or_fail(perm1, r)
     tau = _parse_or_fail(perm2, r)
-    key1 = canonical_key(sigma)
-    key2 = canonical_key(tau)
-    by_key = key1 == key2
-    witness = compose(inverse(tau), sigma)
-    by_parity = is_norm_preserving(witness)
-    if by_key != by_parity:
+    try:
+        key1, key2, witness, same = _equivalence(sigma, tau)
+    except RuntimeError:
         click.echo(
             "internal error: canonical keys and the parity test disagree", err=True
         )
         sys.exit(1)
-    click.echo("EQUIVALENT" if by_key else "INDEPENDENT")
+    click.echo("EQUIVALENT" if same else "INDEPENDENT")
     click.echo(f"canonical key 1: {key1.render()}")
     click.echo(f"canonical key 2: {key2.render()}")
-    parity = "norm-preserving" if by_parity else "not norm-preserving"
+    parity = "norm-preserving" if same else "not norm-preserving"
     click.echo(f"parity test on perm2^-1 * perm1 = {witness}: {parity}")
 
 
@@ -207,6 +201,7 @@ def enumerate_cosets(subsystems: int, fmt: str) -> None:
 @click.option(
     "--tolerance",
     type=float,
+    callback=_check_tolerance,
     default=VERDICT_TOLERANCE,
     show_default=True,
     help="Entanglement verdict threshold above norm 1.",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .perms import Permutation, global_transpose, identity
-from .arrows import CanonicalKey, canonical_key, _flip_sets, _key_rank
+from .arrows import CanonicalKey, canonical_key, _flip_sets, _reduce_sets
 
 __all__ = [
     "NormGroupElement",
@@ -164,26 +164,29 @@ class ClassDescriptor:
     """One equivalence class of criteria, described by its reduced key."""
 
     key: CanonicalKey
-    arrow_count: int
-    loop_count: int
-    type_label: str
-    partner_label: str
-    trivial: bool
 
+    @property
+    def arrow_count(self) -> int:
+        return self.key.arrow_count
 
-def _descriptor(key: CanonicalKey) -> ClassDescriptor:
-    a, l = key.arrow_count, key.loop_count
-    ph, pt = _flip_sets(key.r, key.heads, key.tails)
-    partner_loops = len(set(ph) & set(pt))
-    partner_label = type_label(len(ph) - partner_loops, partner_loops)
-    return ClassDescriptor(
-        key=key,
-        arrow_count=a,
-        loop_count=l,
-        type_label=type_label(a, l),
-        partner_label=partner_label,
-        trivial=key.is_trivial,
-    )
+    @property
+    def loop_count(self) -> int:
+        return self.key.loop_count
+
+    @property
+    def type_label(self) -> str:
+        return type_label(self.arrow_count, self.loop_count)
+
+    @property
+    def partner_label(self) -> str:
+        """Type of the flip partner, the other drawing of the same class."""
+        heads, tails = _flip_sets(self.key.r, self.key.heads, self.key.tails)
+        loops = len(set(heads) & set(tails))
+        return type_label(len(heads) - loops, loops)
+
+    @property
+    def trivial(self) -> bool:
+        return self.key.is_trivial
 
 
 def class_count(r: int) -> int:
@@ -200,16 +203,14 @@ def enumerate_classes(r: int) -> list[ClassDescriptor]:
     if not 1 <= r <= MAX_CLASS_R:
         raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {r}")
     subsystems = range(1, r + 1)
-    keys: list[CanonicalKey] = []
-    for k in range(r + 1):
-        for heads in itertools.combinations(subsystems, k):
-            for tails in itertools.combinations(subsystems, k):
-                mine = (heads, tails)
-                if _key_rank(_flip_sets(r, heads, tails)) < _key_rank(mine):
-                    continue
-                keys.append(CanonicalKey(r, heads, tails))
-    keys.sort(key=lambda key: key.rank)
-    out = [_descriptor(key) for key in keys]
+    reduced = {
+        _reduce_sets(r, heads, tails)
+        for k in range(r + 1)
+        for heads in itertools.combinations(subsystems, k)
+        for tails in itertools.combinations(subsystems, k)
+    }
+    keys = (CanonicalKey(r, heads, tails) for heads, tails in reduced)
+    out = [ClassDescriptor(key) for key in sorted(keys, key=lambda key: key.rank)]
     if len(out) != class_count(r):
         raise RuntimeError(
             f"enumerated {len(out)} classes for r={r}, expected {class_count(r)}"

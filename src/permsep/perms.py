@@ -65,10 +65,7 @@ class Permutation:
         return all(img == k + 1 for k, img in enumerate(self.images))
 
     def __str__(self) -> str:
-        cycles = cycle_decomposition(self)
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycles)
+        return _render_cycles(_cycles_of_images(self.images))
 
 
 def identity(degree: int) -> Permutation:
@@ -122,6 +119,13 @@ def _cycles_of_images(images: Sequence[int]) -> list[list[int]]:
             nxt = images[nxt - 1]
         cycles.append(cyc)
     return cycles
+
+
+def _render_cycles(cycles: Sequence[Sequence[int]]) -> str:
+    """Cycle notation "(a,b,...)(c,...)"; no cycles renders as "()"."""
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(str(p) for p in c) + ")" for c in cycles)
 
 
 def permutation_from_cycles(

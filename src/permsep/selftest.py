@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .perms import Permutation, compose, parse_permutation
-from .arrows import _canonical_key_sets, _flip_sets, canonical_key
+from .perms import Permutation, compose, inverse, parse_permutation
+from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key
 from .normgroup import (
+    _parity_kind,
     census_by_type,
     enumerate_classes,
     group_elements,
@@ -59,6 +60,13 @@ def _random_operator(rng: np.random.Generator, r: int, d: int) -> DensityMatrix:
     return DensityMatrix(r, d, g)
 
 
+def _rewrite_key(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Flip-reduced key of the rewrite normal form: the route independent of
+    the closed form in ``canonical_key``."""
+    arrows = _rewrite(images)
+    return _reduce_sets(len(images) // 2, (h for _, h in arrows), (t for t, _ in arrows))
+
+
 # --- the checks -----------------------------------------------------------------
 
 
@@ -69,7 +77,7 @@ def _check_coset_counts(seed: int) -> tuple[bool, str]:
     counts = {}
     for r, want in expected.items():
         keys = {
-            _canonical_key_sets(images)
+            _rewrite_key(images)
             for images in itertools.permutations(range(1, 2 * r + 1))
         }
         counts[r] = len(keys)
@@ -96,25 +104,14 @@ def _check_coset_soundness(seed: int) -> tuple[bool, str]:
     start = time.perf_counter()
     checked = 0
     for r in (2, 3):
-        degree = 2 * r
-        perms = list(itertools.permutations(range(1, degree + 1)))
-        keys = [_canonical_key_sets(p) for p in perms]
-        inverses = []
-        for p in perms:
-            inv = [0] * degree
-            for i, x in enumerate(p):
-                inv[x - 1] = i + 1
-            inverses.append(tuple(inv))
-        points = range(1, degree + 1)
+        perms = list(itertools.permutations(range(1, 2 * r + 1)))
+        keys = [_rewrite_key(p) for p in perms]
+        inverses = [inverse(Permutation(p)).images for p in perms]
         for sigma, key_s in zip(perms, keys):
+            image_of = (0, *sigma).__getitem__  # 1-based lookup
             for inv_tau, key_t in zip(inverses, keys):
-                kind = (1 ^ sigma[inv_tau[0] - 1]) & 1
-                in_group = True
-                for x in points:
-                    if ((x ^ sigma[inv_tau[x - 1] - 1]) & 1) != kind:
-                        in_group = False
-                        break
-                if (key_s == key_t) != in_group:
+                witness = tuple(map(image_of, inv_tau))  # tau^-1 then sigma
+                if (key_s == key_t) != (_parity_kind(witness) is not None):
                     return False, (
                         f"r={r}: key test and parity test disagree for "
                         f"sigma={sigma}, tau^-1={inv_tau}"

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .perms import Permutation, inverse
-from .normgroup import ClassDescriptor, enumerate_classes, representative_permutation
+from .normgroup import (
+    MAX_CLASS_R,
+    ClassDescriptor,
+    enumerate_classes,
+    representative_permutation,
+)
 from .arrows import _flip_sets
 
 __all__ = [
@@ -53,15 +58,6 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 VERDICT_TOLERANCE = 1e-9
 
-STATE_KINDS = (
-    "basis_product",
-    "bell_pair_on",
-    "ghz",
-    "maximally_mixed",
-    "random_separable",
-    "random_state",
-)
-
 
 class StateValidationError(ValueError):
     """A matrix violates the state invariants; lists every violation."""
@@ -82,6 +78,8 @@ def _check_dims(r: int, d: int) -> int:
         raise ValueError(f"subsystem count must be positive, got {r}")
     if d < 1:
         raise ValueError(f"local dimension must be positive, got {d}")
+    if d > 1 and r > MAX_DIM.bit_length():  # then d**r > MAX_DIM: skip the power
+        raise ValueError(f"total dimension {d}^{r} exceeds guard {MAX_DIM}")
     dim = d**r
     if dim > MAX_DIM:
         raise ValueError(f"total dimension {d}^{r} = {dim} exceeds guard {MAX_DIM}")
@@ -119,6 +117,10 @@ class DensityMatrix:
     def state_violations(self) -> list[str]:
         """Human-readable list of violated state invariants (empty if none)."""
         m = self.entries
+        if not np.isfinite(m).all():
+            # every comparison with NaN is False, so the checks below cannot run
+            nan, inf = int(np.isnan(m).sum()), int(np.isinf(m).sum())
+            return [f"non-finite entries: {nan} NaN, {inf} inf"]
         out = []
         herm = float(np.max(np.abs(m - m.conj().T), initial=0.0))
         if herm > HERMITICITY_TOL:
@@ -300,21 +302,22 @@ def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
     return DensityMatrix(r, d, m / np.trace(m)).validate_state()
 
 
+STATE_KINDS = {
+    "basis_product": basis_product_state,
+    "bell_pair_on": bell_pair_state,
+    "ghz": ghz_state,
+    "maximally_mixed": maximally_mixed_state,
+    "random_separable": random_separable_state,
+    "random_state": random_state,
+}
+
+
 def make_state(kind: str, r: int, d: int, **params) -> DensityMatrix:
     """Dispatch to the state factories by kind name."""
-    if kind == "basis_product":
-        return basis_product_state(r, d, **params)
-    if kind == "bell_pair_on":
-        return bell_pair_state(r, d, **params)
-    if kind == "ghz":
-        return ghz_state(r, d, **params)
-    if kind == "maximally_mixed":
-        return maximally_mixed_state(r, d, **params)
-    if kind == "random_separable":
-        return random_separable_state(r, d, **params)
-    if kind == "random_state":
-        return random_state(r, d, **params)
-    raise ValueError(f"unknown state kind {kind!r}; choose from {STATE_KINDS}")
+    if kind not in STATE_KINDS:
+        kinds = tuple(STATE_KINDS)
+        raise ValueError(f"unknown state kind {kind!r}; choose from {kinds}")
+    return STATE_KINDS[kind](r, d, **params)
 
 
 def detector_state(descriptor: ClassDescriptor, d: int) -> DensityMatrix:
@@ -334,12 +337,10 @@ def detector_state(descriptor: ClassDescriptor, d: int) -> DensityMatrix:
     r = key.r
     _check_dims(r, d)
     heads, tails = key.heads, key.tails
+    if key.loop_count > r - len(set(heads) | set(tails)):
+        heads, tails = _flip_sets(r, heads, tails)
     loops = sorted(set(heads) & set(tails))
     free = sorted(set(range(1, r + 1)) - set(heads) - set(tails))
-    if len(loops) > len(free):
-        heads, tails = _flip_sets(r, heads, tails)
-        loops = sorted(set(heads) & set(tails))
-        free = sorted(set(range(1, r + 1)) - set(heads) - set(tails))
     arrow_tails = [t for t in tails if t not in loops]
     arrow_heads = [h for h in heads if h not in loops]
     pair = _max_entangled_pair(d)
@@ -442,6 +443,8 @@ def read_state_file(path, validate: bool = True) -> DensityMatrix:
         r, d = int(parts[0]), int(parts[1])
     except ValueError:
         raise StateFileError(f"header must be two integers, got {header!r}", number)
+    if r > MAX_CLASS_R:  # eval has no classes there; fail before reading the rows
+        raise StateFileError(f"subsystem count {r} exceeds guard {MAX_CLASS_R}", number)
     try:
         dim = _check_dims(r, d)
     except ValueError as exc:

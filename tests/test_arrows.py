@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permsep import (
     Arrow,
@@ -19,6 +20,7 @@ from permsep import (
     equivalent,
     exchange_heads,
     flip,
+    generators,
     global_transpose,
     identity,
     inverse,
@@ -28,7 +30,7 @@ from permsep import (
     permutation_from_cycles,
     prune,
 )
-from permsep.arrows import _flip_sets
+from permsep.arrows import _flip_sets, key_of_configuration
 from conftest import coset_partition_bruteforce, parity_profile, random_permutation
 
 
@@ -312,6 +314,42 @@ class TestCanonicalKey:
             CanonicalKey(3, (3, 1), (1, 3))
         with pytest.raises(ValueError, match="equal size"):
             CanonicalKey(3, (1,), (1, 2))
+
+
+# derandomized so that every run draws the same examples
+closed_form_settings = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+
+def permutations_of_degree(r):
+    images = st.permutations(range(1, 2 * r + 1))
+    return images.map(lambda p: Permutation(tuple(p)))
+
+
+class TestClosedFormKey:
+    """The parity-profile key against the rewrite normal form it summarizes."""
+
+    def test_matches_rewrite_exhaustively(self):
+        for r in range(1, 5):
+            for images in itertools.permutations(range(1, 2 * r + 1)):
+                sigma = Permutation(images)
+                assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
+
+    @closed_form_settings
+    @given(st.integers(5, 12).flatmap(permutations_of_degree))
+    def test_matches_rewrite_at_large_r(self, sigma):
+        assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
+
+    @closed_form_settings
+    @given(st.data())
+    def test_invariant_under_generator_products(self, data):
+        r = data.draw(st.integers(2, 8))
+        sigma = data.draw(permutations_of_degree(r))
+        g = identity(2 * r)
+        for factor in data.draw(st.lists(st.sampled_from(generators(r)), max_size=12)):
+            g = compose(g, factor)
+        assert canonical_key(compose(sigma, g)) == canonical_key(sigma)
 
 
 class TestEquivalent:

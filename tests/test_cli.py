@@ -252,6 +252,17 @@ class TestEval:
         assert result.exit_code == 3
         assert "trace" in result.output
 
+    def test_non_finite_state_exit_3(self, runner, tmp_path):
+        # at r = 2 the NaN would reach the SVD, which fails to converge
+        rows = [[f"{0.25 if i == j else 0} 0" for j in range(4)] for i in range(4)]
+        rows[0][0] = "nan 0"
+        path = tmp_path / "nan.state"
+        path.write_text("2 2\n" + "".join(" ".join(row) + "\n" for row in rows))
+        result = invoke(runner, "eval", str(path))
+        assert result.exit_code == 3
+        assert "non-finite entries: 1 NaN, 0 inf" in result.output
+        assert "SVD" not in result.output
+
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = invoke(runner, "eval", str(tmp_path / "nope.state"))
         assert result.exit_code == 2
@@ -262,6 +273,17 @@ class TestEval:
         result = invoke(runner, "eval", "--tolerance", "0.4", str(path))
         assert "tolerance 0.4" in result.output
         assert "UNDETECTED" in result.output
+
+    def test_tolerance_must_be_nonnegative(self, runner, tmp_path):
+        # a negative tolerance would call the maximally mixed state ENTANGLED,
+        # and nan would call every state UNDETECTED
+        path = tmp_path / "mixed.state"
+        write_state_file(path, maximally_mixed_state(2, 2))
+        for bad in ("-1", "nan"):
+            result = invoke(runner, "eval", "--tolerance", bad, str(path))
+            assert result.exit_code == 2
+            assert "Invalid value for '--tolerance'" in result.output
+        assert invoke(runner, "eval", "--tolerance", "0", str(path)).exit_code == 0
 
     def test_tolerance_with_csv(self, runner, tmp_path):
         path = tmp_path / "bell.state"

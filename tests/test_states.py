@@ -208,6 +208,11 @@ class TestStateFactory:
         with pytest.raises(ValueError, match="exceeds guard"):
             maximally_mixed_state(13, 2)
 
+    def test_dimension_guard_at_huge_r(self):
+        # d**r has too many digits to compute quickly or to print in the message
+        with pytest.raises(ValueError, match="total dimension 2\\^1000000 exceeds guard"):
+            maximally_mixed_state(10**6, 2)
+
     def test_validation_diagnostics(self):
         bad_trace = np.eye(4, dtype=complex)
         with pytest.raises(StateValidationError, match="trace"):
@@ -219,6 +224,17 @@ class TestStateFactory:
         negative = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
         with pytest.raises(StateValidationError, match="eigenvalue"):
             DensityMatrix(2, 2, negative).validate_state()
+
+    def test_non_finite_entries_rejected(self):
+        # NaN fails every comparison, so the three invariant checks cannot see it
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = m[1, 0] = np.nan
+        with pytest.raises(StateValidationError, match="non-finite entries: 2 NaN, 0"):
+            DensityMatrix(2, 2, m).validate_state()
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] = np.inf
+        with pytest.raises(StateValidationError, match="0 NaN, 1 inf"):
+            DensityMatrix(2, 2, m).validate_state()
 
 
 class TestDetectorStates:
@@ -372,6 +388,19 @@ class TestStateFiles:
         path = tmp_path / "state.txt"
         path.write_text("13 2\n")
         with pytest.raises(StateFileError, match="exceeds guard"):
+            read_state_file(path)
+
+    def test_class_guard_in_header(self, tmp_path):
+        # d^r = 512 passes MAX_DIM, but no class enumeration exists at r = 9
+        path = tmp_path / "state.txt"
+        path.write_text("9 2\n")
+        with pytest.raises(StateFileError, match="line 1: subsystem count 9 exceeds"):
+            read_state_file(path)
+
+    def test_huge_r_rejected_before_exponentiating(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("1000000000 2\n")
+        with pytest.raises(StateFileError, match="line 1: subsystem count 1000000000"):
             read_state_file(path)
 
     def test_invalid_state_content(self, tmp_path):
