@@ -386,6 +386,41 @@ def _reduce_sets(
     return min(mine, _flip_sets(r, *mine), key=_key_rank)
 
 
+def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> CanonicalKey:
+    """The key of the class with these (heads, tails) sets.
+
+    Skips the constructor's checks: ``_reduce_sets`` returns sorted,
+    flip-reduced sets by construction, so re-checking them would only
+    repeat the reduction.
+    """
+    heads, tails = _reduce_sets(r, heads, tails)
+    key = object.__new__(CanonicalKey)
+    key.__dict__.update(r=r, heads=heads, tails=tails)
+    return key
+
+
+def _transpose_key(key: CanonicalKey) -> CanonicalKey:
+    """Key of compose(global transpose, sigma) for sigma in key's class.
+
+    The transpose sends row slots to column slots on the input side, so the
+    parity profile turns heads into complemented tails and back: the sets
+    swap roles and are flip-reduced.
+    """
+    return _reduced_key(key.r, key.tails, key.heads)
+
+
+def _swap_key(key: CanonicalKey, k: int, l: int) -> CanonicalKey:
+    """Key of compose(s, sigma) for sigma in key's class, s the swap of
+    subsystems k and l (points 2k-1 <-> 2l-1 and 2k <-> 2l): relabel k <-> l
+    in both sets, then flip-reduce."""
+    relabel = {k: l, l: k}
+    return _reduced_key(
+        key.r,
+        [relabel.get(x, x) for x in key.heads],
+        [relabel.get(x, x) for x in key.tails],
+    )
+
+
 def _rewrite(
     images: Sequence[int], steps: list[RewriteStep] | None = None
 ) -> list[tuple[int, int]]:
@@ -504,12 +539,11 @@ def canonical_key(sigma: Permutation) -> CanonicalKey:
     rows, cols = sigma.images[0::2], sigma.images[1::2]
     heads = [l for l, img in enumerate(rows, start=1) if img % 2 == 0]
     tails = [k for k, img in enumerate(cols, start=1) if img % 2 == 1]
-    return CanonicalKey(r, *_reduce_sets(r, heads, tails))
+    return _reduced_key(r, heads, tails)
 
 
 def key_of_configuration(config: ArrowConfiguration) -> CanonicalKey:
-    heads, tails = _reduce_sets(config.r, config.heads, config.tails)
-    return CanonicalKey(config.r, heads, tails)
+    return _reduced_key(config.r, config.heads, config.tails)
 
 
 def _equivalence(

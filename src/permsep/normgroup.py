@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .perms import Permutation, global_transpose, identity
-from .arrows import CanonicalKey, canonical_key, _flip_sets, _reduce_sets
+from .arrows import CanonicalKey, canonical_key, _flip_sets, _reduced_key
 
 __all__ = [
     "NormGroupElement",
@@ -203,13 +203,12 @@ def enumerate_classes(r: int) -> list[ClassDescriptor]:
     if not 1 <= r <= MAX_CLASS_R:
         raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {r}")
     subsystems = range(1, r + 1)
-    reduced = {
-        _reduce_sets(r, heads, tails)
+    keys = {
+        _reduced_key(r, heads, tails)
         for k in range(r + 1)
         for heads in itertools.combinations(subsystems, k)
         for tails in itertools.combinations(subsystems, k)
     }
-    keys = (CanonicalKey(r, heads, tails) for heads, tails in reduced)
     out = [ClassDescriptor(key) for key in sorted(keys, key=lambda key: key.rank)]
     if len(out) != class_count(r):
         raise RuntimeError(

@@ -14,7 +14,9 @@ most 1, so any value above 1 certifies entanglement.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .normgroup import (
     enumerate_classes,
     representative_permutation,
 )
-from .arrows import _flip_sets
+from .arrows import CanonicalKey, _flip_sets, _swap_key, _transpose_key
 
 __all__ = [
     "MAX_DIM",
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 MAX_DIM = 4096
+
+_log = logging.getLogger("permsep")
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -135,9 +139,14 @@ class DensityMatrix:
         return out
 
     def validate_state(self) -> "DensityMatrix":
+        # the entries are a private read-only copy, so a passed check stays
+        # passed: reading a file and then evaluating it validates once
+        if self.__dict__.get("_valid"):
+            return self
         violations = self.state_violations()
         if violations:
             raise StateValidationError("; ".join(violations))
+        object.__setattr__(self, "_valid", True)
         return self
 
 
@@ -386,27 +395,106 @@ def evaluate_criteria(
 
     The verdict is "entangled" exactly when some class norm exceeds
     1 + tolerance; otherwise "undetected" (the criteria are necessary,
-    not sufficient, for separability).
+    not sufficient, for separability).  At r = 1 every class is trivial,
+    so the report has no records, max_norm 0.0 and verdict "undetected".
+
+    The norms are those of the Hermitian part (rho + rho^dagger) / 2,
+    which is rho itself, bit for bit, for exactly Hermitian input.  One
+    decomposition serves each orbit of classes under the state's input-side
+    symmetries: the global transpose, which maps a Hermitian state to its
+    entrywise conjugate, and every swap of two subsystems that leaves the
+    state exactly unchanged.  Relabeling the input by such a symmetry g
+    maps the class of sigma to the class of g * sigma and keeps the norm.
+    Loop-only classes are partial transposes, Hermitian, and take the sum
+    of absolute eigenvalues; the others take ``trace_norm``.
     """
     rho.validate_state()
+    r, m = rho.r, rho.entries
+    herm = DensityMatrix(r, rho.d, (m + m.conj().T) / 2)
+    blocks = _swap_blocks(herm)
+    classes = [desc for desc in enumerate_classes(r) if not desc.trivial]
+    first_of = _orbit_firsts([desc.key for desc in classes], blocks)
+    norm_of: dict[CanonicalKey, float] = {}
+    svds = eighs = 0
     records = []
-    for descriptor in enumerate_classes(rho.r):
-        if descriptor.trivial:
-            continue
-        rep = representative_permutation(descriptor.key)
-        records.append(
-            ClassNorm(descriptor, rep, trace_norm(apply_permutation(rho, rep)))
-        )
+    for desc in classes:
+        key = desc.key
+        rep = representative_permutation(key)
+        if first_of[key] is key:
+            out = apply_permutation(herm, rep)
+            if key.arrow_count == 0:
+                norm_of[key] = float(np.abs(np.linalg.eigvalsh(out.entries)).sum())
+                eighs += 1
+            else:
+                norm_of[key] = trace_norm(out)
+                svds += 1
+        records.append(ClassNorm(desc, rep, norm_of[first_of[key]]))
     max_norm = max((rec.norm for rec in records), default=0.0)
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
+    _log.debug(
+        "evaluate r=%d d=%d: swap-invariant blocks %s, %d classes, %d orbits, "
+        "%d svd, %d eigvalsh",
+        r, rho.d, [b for b in blocks if len(b) > 1], len(classes),
+        svds + eighs, svds, eighs,
+    )
     return CriterionReport(
-        r=rho.r,
+        r=r,
         d=rho.d,
         records=tuple(records),
         max_norm=max_norm,
         verdict=verdict,
         tolerance=tolerance,
     )
+
+
+def _swap_blocks(rho: DensityMatrix) -> list[list[int]]:
+    """Subsystems grouped so that rho is exactly unchanged by swapping any
+    two in one group.
+
+    Exact invariance under the swaps (a, b) and (b, c) implies it under
+    (a, c), so comparing a subsystem with each group's first member suffices.
+    """
+    blocks: list[list[int]] = []
+    for l in range(1, rho.r + 1):
+        for block in blocks:
+            swapped = apply_permutation(rho, _subsystem_swap(rho.r, block[0], l))
+            if np.array_equal(swapped.entries, rho.entries):
+                block.append(l)
+                break
+        else:
+            blocks.append([l])
+    return blocks
+
+
+def _subsystem_swap(r: int, k: int, l: int) -> Permutation:
+    images = list(range(1, 2 * r + 1))
+    for a, b in ((2 * k - 1, 2 * l - 1), (2 * k, 2 * l)):
+        images[a - 1], images[b - 1] = b, a
+    return Permutation(tuple(images))
+
+
+def _orbit_firsts(
+    keys: list[CanonicalKey], blocks: list[list[int]]
+) -> dict[CanonicalKey, CanonicalKey]:
+    """Map each key to the first of ``keys`` in its orbit under the global
+    transpose and the swaps of subsystems within each block."""
+    moves = [_transpose_key]
+    for block in blocks:  # adjacent swaps generate every permutation of a block
+        moves.extend(partial(_swap_key, k=k, l=l) for k, l in zip(block, block[1:]))
+    first_of: dict[CanonicalKey, CanonicalKey] = {}
+    for key in keys:
+        if key in first_of:
+            continue
+        first_of[key] = key
+        frontier = [key]
+        while frontier:
+            current = frontier.pop()
+            for move in moves:
+                image = move(current)
+                if image not in first_of:
+                    first_of[image] = key
+                    frontier.append(image)
+    return first_of
 
 
 # --- state files -----------------------------------------------------------------

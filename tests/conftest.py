@@ -10,8 +10,19 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import settings, strategies as st
 
 from permsep import Permutation, compose, group_elements
+
+# derandomized so that every run draws the same examples
+property_settings = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+
+
+def permutations_of_degree(r):
+    images = st.permutations(range(1, 2 * r + 1))
+    return images.map(lambda p: Permutation(tuple(p)))
 
 
 def random_permutation(rng: np.random.Generator, degree: int) -> Permutation:

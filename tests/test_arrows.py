@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from permsep import (
     Arrow,
@@ -17,6 +17,7 @@ from permsep import (
     canonicalize,
     chop,
     compose,
+    enumerate_classes,
     equivalent,
     exchange_heads,
     flip,
@@ -29,9 +30,16 @@ from permsep import (
     parse_permutation,
     permutation_from_cycles,
     prune,
+    representative_permutation,
 )
-from permsep.arrows import _flip_sets, key_of_configuration
-from conftest import coset_partition_bruteforce, parity_profile, random_permutation
+from permsep.arrows import _flip_sets, _swap_key, _transpose_key, key_of_configuration
+from conftest import (
+    coset_partition_bruteforce,
+    parity_profile,
+    permutations_of_degree,
+    property_settings,
+    random_permutation,
+)
 
 
 def config(r, *arrows):
@@ -307,6 +315,18 @@ class TestCanonicalKey:
             expected_block = 2 * math.factorial(r) ** 2
             assert all(len(b) == expected_block for b in by_key.values())
 
+    def test_built_keys_pass_the_public_checks(self):
+        # canonical_key and enumerate_classes skip the constructor's checks
+        for r in range(1, 9):
+            for desc in enumerate_classes(r):
+                key = desc.key
+                assert CanonicalKey(r, key.heads, key.tails) == key
+        rng = np.random.default_rng(19)
+        for r in (5, 8, 12):
+            for _ in range(200):
+                key = canonical_key(random_permutation(rng, 2 * r))
+                assert CanonicalKey(r, key.heads, key.tails) == key
+
     def test_reduction_enforced_by_constructor(self):
         with pytest.raises(ValueError, match="not flip-reduced"):
             CanonicalKey(3, (1, 3), (1, 3))  # partner ({2},{2}) ranks lower
@@ -314,17 +334,6 @@ class TestCanonicalKey:
             CanonicalKey(3, (3, 1), (1, 3))
         with pytest.raises(ValueError, match="equal size"):
             CanonicalKey(3, (1,), (1, 2))
-
-
-# derandomized so that every run draws the same examples
-closed_form_settings = settings(
-    max_examples=300, deadline=None, derandomize=True, database=None
-)
-
-
-def permutations_of_degree(r):
-    images = st.permutations(range(1, 2 * r + 1))
-    return images.map(lambda p: Permutation(tuple(p)))
 
 
 class TestClosedFormKey:
@@ -336,12 +345,12 @@ class TestClosedFormKey:
                 sigma = Permutation(images)
                 assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
 
-    @closed_form_settings
+    @property_settings
     @given(st.integers(5, 12).flatmap(permutations_of_degree))
     def test_matches_rewrite_at_large_r(self, sigma):
         assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
 
-    @closed_form_settings
+    @property_settings
     @given(st.data())
     def test_invariant_under_generator_products(self, data):
         r = data.draw(st.integers(2, 8))
@@ -350,6 +359,28 @@ class TestClosedFormKey:
         for factor in data.draw(st.lists(st.sampled_from(generators(r)), max_size=12)):
             g = compose(g, factor)
         assert canonical_key(compose(sigma, g)) == canonical_key(sigma)
+
+
+class TestKeyActions:
+    """Input-side symmetries acting on keys, against the composed permutation."""
+
+    def test_match_canonical_key_of_composition(self):
+        for r in range(2, 9):
+            tau = global_transpose(2 * r)
+            # every pair up to r = 7; at r = 8 the swaps (1, l), which generate
+            # all the others, keep the run near a second
+            pairs = itertools.combinations(range(1, r + 1), 2)
+            if r == 8:
+                pairs = ((1, l) for l in range(2, r + 1))
+            swaps = {
+                (k, l): permutation_from_cycles([(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)], 2 * r)
+                for k, l in pairs
+            }
+            for desc in enumerate_classes(r):
+                rep = representative_permutation(desc.key)
+                assert _transpose_key(desc.key) == canonical_key(compose(tau, rep))
+                for (k, l), s in swaps.items():
+                    assert _swap_key(desc.key, k, l) == canonical_key(compose(s, rep))
 
 
 class TestEquivalent:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from permsep import bell_pair_state, maximally_mixed_state, write_state_file
+from permsep import DensityMatrix, bell_pair_state, maximally_mixed_state, write_state_file
 from permsep.cli import main
 
 
@@ -262,6 +262,40 @@ class TestEval:
         assert result.exit_code == 3
         assert "non-finite entries: 1 NaN, 0 inf" in result.output
         assert "SVD" not in result.output
+
+    def test_r1_has_no_rows(self, runner, tmp_path):
+        path = tmp_path / "qubit.state"
+        write_state_file(path, maximally_mixed_state(1, 2))
+        assert invoke(runner, "eval", str(path)).output == (
+            "state: r=1 d=2 (2x2)\n"
+            "label    key                          norm\n"
+            "max norm: 0.000000000000 (tolerance 1e-09)\n"
+            "verdict: UNDETECTED\n"
+        )
+        csv = invoke(runner, "eval", "--format", "csv", str(path)).output
+        assert csv == "verdict,UNDETECTED,max,0.000000000000\n"
+
+    def test_validates_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        original = DensityMatrix.state_violations
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(DensityMatrix, "state_violations", counting)
+        path = tmp_path / "bell.state"
+        write_state_file(path, bell_pair_state(3, 2, 1, 2))
+        calls.clear()  # the factory validated the state it built
+        assert invoke(runner, "eval", str(path)).exit_code == 0
+        assert len(calls) == 1
+        calls.clear()
+        path.write_text("1 2\n1.0 0.0 0.0 0.0\n0.0 0.0 1.0 0.0\n")
+        result = invoke(runner, "eval", str(path))
+        assert (result.exit_code, len(calls)) == (3, 1)
+        assert result.output == (
+            f"error: state file {path}: trace is 2+0j, not 1 within 1e-10\n"
+        )
 
     def test_missing_file_exit_2(self, runner, tmp_path):
         result = invoke(runner, "eval", str(tmp_path / "nope.state"))

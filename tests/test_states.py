@@ -1,10 +1,13 @@
 """Numerics: index relabeling, trace norms, state factory, criteria, files."""
 
 import itertools
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from permsep import (
     DensityMatrix,
@@ -17,6 +20,7 @@ from permsep import (
     detector_state,
     enumerate_classes,
     evaluate_criteria,
+    generators,
     ghz_state,
     global_transpose,
     group_elements,
@@ -32,8 +36,11 @@ from permsep import (
     trace_norm,
     write_state_file,
 )
+from permsep.states import _orbit_firsts, _subsystem_swap, _swap_blocks
 from conftest import (
     apply_permutation_reference,
+    permutations_of_degree,
+    property_settings,
     random_permutation,
     trace_norm_hermitian_reference,
 )
@@ -341,6 +348,171 @@ class TestEvaluateCriteria:
         assert report.tolerance == 1e-6
         assert report.r == 2 and report.d == 2
         assert len(report.records) == 2
+
+
+def _noisy_ghz(r: int, d: int, p: float = 0.6) -> DensityMatrix:
+    mixed = p * ghz_state(r, d).entries + (1 - p) * maximally_mixed_state(r, d).entries
+    return DensityMatrix(r, d, mixed).validate_state()
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+CROSS_CHECK_STATES = (
+    [(f"random-{r}-2", lambda r=r: random_state(r, 2, seed=40 + r)) for r in range(2, 8)]
+    + [(f"random-{r}-3", lambda r=r: random_state(r, 3, seed=50 + r)) for r in (2, 3)]
+    + [(f"separable-{r}-2", lambda r=r: random_separable_state(r, 2, seed=60 + r)) for r in (2, 3, 4)]
+    + [(f"noisy-ghz-{r}-2", lambda r=r: _noisy_ghz(r, 2)) for r in (3, 4)]
+    + [(f"mixed-{r}-2", lambda r=r: maximally_mixed_state(r, 2)) for r in range(1, 6)]
+)
+
+
+def _evaluation_counts(caplog, rho: DensityMatrix) -> tuple[int, ...]:
+    """(classes, orbits, svd, eigvalsh) from evaluate_criteria's log record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="permsep"):
+        evaluate_criteria(rho)
+    (record,) = [rec for rec in caplog.records if rec.name == "permsep"]
+    match = re.search(
+        r"(\d+) classes, (\d+) orbits, (\d+) svd, (\d+) eigvalsh", record.getMessage()
+    )
+    return tuple(int(x) for x in match.groups())
+
+
+class TestOrbitEvaluation:
+    """One decomposition per orbit of classes under the state's symmetries,
+    checked against the per-class route trace_norm(apply_permutation(...))."""
+
+    @pytest.mark.parametrize(
+        "make", [make for _, make in CROSS_CHECK_STATES], ids=[n for n, _ in CROSS_CHECK_STATES]
+    )
+    def test_matches_per_class_norms(self, make):
+        self._cross_check(make())
+
+    def test_matches_per_class_norms_on_detector_states(self):
+        for r in (2, 3, 4):
+            for desc in enumerate_classes(r)[1:]:
+                self._cross_check(detector_state(desc, 2))
+
+    @staticmethod
+    def _cross_check(rho):
+        report = evaluate_criteria(rho)
+        per_class = [
+            trace_norm(apply_permutation(rho, rec.representative)) for rec in report.records
+        ]
+        for rec, norm in zip(report.records, per_class):
+            assert _close(rec.norm, norm), rec.descriptor.key.render()
+        verdict = "entangled" if max(per_class, default=0.0) > 1.0 + report.tolerance else "undetected"
+        assert report.verdict == verdict
+
+    def test_decomposition_counts_on_full_evaluations(self, caplog):
+        assert _evaluation_counts(caplog, random_state(6, 2, seed=1)) == (461, 251, 220, 31)
+        for r, orbits in ((6, 9), (7, 9), (8, 14)):
+            counts = _evaluation_counts(caplog, maximally_mixed_state(r, 2))
+            assert counts[:2] == (len(enumerate_classes(r)) - 1, orbits)
+        assert _evaluation_counts(caplog, _noisy_ghz(3, 3)) == (9, 2, 1, 1)
+
+    def test_decomposition_counts_of_generic_states(self):
+        # a generic state has the transpose only; its r = 7 and 8 evaluations
+        # take too long for the suite, so count the orbits directly
+        for r, orbits in ((6, 251), (7, 889), (8, 3298)):
+            blocks = _swap_blocks(random_state(r, 2, seed=r))
+            assert blocks == [[k] for k in range(1, r + 1)]
+            keys = [desc.key for desc in enumerate_classes(r)[1:]]
+            assert len(set(_orbit_firsts(keys, blocks).values())) == orbits
+
+    def test_partial_symmetry_found(self):
+        rho = bell_pair_state(4, 2, 1, 3)
+        assert _swap_blocks(rho) == [[1, 3], [2, 4]]
+        self._cross_check(rho)
+
+    def test_norms_are_those_of_the_hermitian_part(self):
+        rho = random_state(3, 2, seed=4)
+        rng = np.random.default_rng(5)
+        noise = 1e-12 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        np.fill_diagonal(noise, 0)
+        skewed = DensityMatrix(3, 2, rho.entries + noise).validate_state()
+        m = skewed.entries
+        herm = DensityMatrix(3, 2, (m + m.conj().T) / 2)
+        bound = np.sqrt(8) * np.linalg.norm(m - m.conj().T) / 2
+        for rec in evaluate_criteria(skewed).records:
+            assert _close(rec.norm, trace_norm(apply_permutation(herm, rec.representative)))
+            direct = trace_norm(apply_permutation(skewed, rec.representative))
+            assert abs(rec.norm - direct) <= bound + 1e-12
+
+    def test_one_debug_record_per_evaluation(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="permsep"):
+            evaluate_criteria(_noisy_ghz(3, 3))
+            evaluate_criteria(bell_pair_state(4, 2, 1, 3))
+        records = [rec for rec in caplog.records if rec.name == "permsep"]
+        assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
+        assert [rec.getMessage() for rec in records] == [
+            "evaluate r=3 d=3: swap-invariant blocks [[1, 2, 3]], 9 classes, "
+            "2 orbits, 1 svd, 1 eigvalsh",
+            "evaluate r=4 d=2: swap-invariant blocks [[1, 3], [2, 4]], 34 classes, "
+            "12 orbits, 8 svd, 4 eigvalsh",
+        ]
+
+    def test_silent_by_default(self, caplog):
+        evaluate_criteria(bell_pair_state(2, 2, 1, 2))
+        assert not [rec for rec in caplog.records if rec.name == "permsep"]
+
+
+# norms of dim <= 64 operators, so that a few hundred examples stay fast
+SMALL_SIZES = [(r, d) for r in range(1, 7) for d in range(2, 9) if d**r <= 64]
+small_settings = settings(property_settings, max_examples=100)
+
+
+def _random_operator(data, hermitian: bool) -> DensityMatrix:
+    r, d = data.draw(st.sampled_from(SMALL_SIZES))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((d**r, d**r)) + 1j * rng.standard_normal((d**r, d**r))
+    return DensityMatrix(r, d, (g + g.conj().T) / 2 if hermitian else g)
+
+
+class TestNormProperties:
+    @small_settings
+    @given(st.data())
+    def test_class_norm_independent_of_coset_member(self, data):
+        rho = _random_operator(data, hermitian=False)
+        sigma = data.draw(permutations_of_degree(rho.r))
+        g = identity(2 * rho.r)
+        for factor in data.draw(st.lists(st.sampled_from(generators(rho.r)), max_size=12)):
+            g = compose(g, factor)
+        base = trace_norm(apply_permutation(rho, sigma))
+        assert _close(trace_norm(apply_permutation(rho, compose(sigma, g))), base)
+
+    @small_settings
+    @given(st.data())
+    def test_apply_permutation_is_a_homomorphism(self, data):
+        rho = _random_operator(data, hermitian=False)
+        s1 = data.draw(permutations_of_degree(rho.r))
+        s2 = data.draw(permutations_of_degree(rho.r))
+        lhs = apply_permutation(apply_permutation(rho, s1), s2).entries
+        assert np.array_equal(lhs, apply_permutation(rho, compose(s1, s2)).entries)
+
+    @small_settings
+    @given(st.data())
+    def test_transpose_pairs_classes_of_hermitian_operators(self, data):
+        rho = _random_operator(data, hermitian=True)
+        sigma = data.draw(permutations_of_degree(rho.r))
+        base = trace_norm(apply_permutation(rho, sigma))
+        paired = compose(global_transpose(2 * rho.r), sigma)
+        assert _close(trace_norm(apply_permutation(rho, paired)), base)
+
+    @small_settings
+    @given(st.data())
+    def test_swap_pairs_classes_of_swap_invariant_operators(self, data):
+        rho = _random_operator(data, hermitian=False)
+        assume(rho.r >= 2)
+        k, l = data.draw(st.sampled_from(list(itertools.combinations(range(1, rho.r + 1), 2))))
+        s = _subsystem_swap(rho.r, k, l)
+        invariant = DensityMatrix(rho.r, rho.d, (rho.entries + apply_permutation(rho, s).entries) / 2)
+        assert np.array_equal(apply_permutation(invariant, s).entries, invariant.entries)
+        sigma = data.draw(permutations_of_degree(rho.r))
+        base = trace_norm(apply_permutation(invariant, sigma))
+        assert _close(trace_norm(apply_permutation(invariant, compose(s, sigma))), base)
 
 
 class TestStateFiles:
