@@ -409,18 +409,6 @@ def _transpose_key(key: CanonicalKey) -> CanonicalKey:
     return _reduced_key(key.r, key.tails, key.heads)
 
 
-def _swap_key(key: CanonicalKey, k: int, l: int) -> CanonicalKey:
-    """Key of compose(s, sigma) for sigma in key's class, s the swap of
-    subsystems k and l (points 2k-1 <-> 2l-1 and 2k <-> 2l): relabel k <-> l
-    in both sets, then flip-reduce."""
-    relabel = {k: l, l: k}
-    return _reduced_key(
-        key.r,
-        [relabel.get(x, x) for x in key.heads],
-        [relabel.get(x, x) for x in key.tails],
-    )
-
-
 def _rewrite(
     images: Sequence[int], steps: list[RewriteStep] | None = None
 ) -> list[tuple[int, int]]:

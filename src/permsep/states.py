@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .normgroup import (
     enumerate_classes,
     representative_permutation,
 )
-from .arrows import CanonicalKey, _flip_sets, _swap_key, _transpose_key
+from .arrows import CanonicalKey, _flip_sets, _transpose_key
 
 __all__ = [
     "MAX_DIM",
@@ -399,43 +398,42 @@ def evaluate_criteria(
     so the report has no records, max_norm 0.0 and verdict "undetected".
 
     The norms are those of the Hermitian part (rho + rho^dagger) / 2,
-    which is rho itself, bit for bit, for exactly Hermitian input.  One
-    decomposition serves each orbit of classes under the state's input-side
-    symmetries: the global transpose, which maps a Hermitian state to its
-    entrywise conjugate, and every swap of two subsystems that leaves the
-    state exactly unchanged.  Relabeling the input by such a symmetry g
-    maps the class of sigma to the class of g * sigma and keeps the norm.
-    Loop-only classes are partial transposes, Hermitian, and take the sum
-    of absolute eigenvalues; the others take ``trace_norm``.
+    which is rho itself, bit for bit, for exactly Hermitian input.  A
+    Hermitian state's transpose is its entrywise conjugate, so the class of
+    sigma and the class of (global transpose) * sigma have equal norms; one
+    decomposition serves both.  Loop-only classes are partial transposes,
+    Hermitian, and take the sum of absolute eigenvalues; the others take
+    ``trace_norm``.
     """
     rho.validate_state()
     r, m = rho.r, rho.entries
-    herm = DensityMatrix(r, rho.d, (m + m.conj().T) / 2)
-    blocks = _swap_blocks(herm)
-    classes = [desc for desc in enumerate_classes(r) if not desc.trivial]
-    first_of = _orbit_firsts([desc.key for desc in classes], blocks)
+    herm = rho
+    if not np.array_equal(m, m.conj().T):
+        herm = DensityMatrix(r, rho.d, (m + m.conj().T) / 2)
     norm_of: dict[CanonicalKey, float] = {}
     svds = eighs = 0
     records = []
-    for desc in classes:
-        key = desc.key
+    for descriptor in enumerate_classes(r):
+        if descriptor.trivial:
+            continue
+        key = descriptor.key
         rep = representative_permutation(key)
-        if first_of[key] is key:
-            out = apply_permutation(herm, rep)
+        norm = norm_of.get(_transpose_key(key))
+        if norm is None:
             if key.arrow_count == 0:
-                norm_of[key] = float(np.abs(np.linalg.eigvalsh(out.entries)).sum())
+                eigenvalues = np.linalg.eigvalsh(apply_permutation(herm, rep).entries)
+                norm = float(np.abs(eigenvalues).sum())
                 eighs += 1
             else:
-                norm_of[key] = trace_norm(out)
+                norm = trace_norm(apply_permutation(herm, rep))
                 svds += 1
-        records.append(ClassNorm(desc, rep, norm_of[first_of[key]]))
+        norm_of[key] = norm
+        records.append(ClassNorm(descriptor, rep, norm))
     max_norm = max((rec.norm for rec in records), default=0.0)
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
-        "evaluate r=%d d=%d: swap-invariant blocks %s, %d classes, %d orbits, "
-        "%d svd, %d eigvalsh",
-        r, rho.d, [b for b in blocks if len(b) > 1], len(classes),
-        svds + eighs, svds, eighs,
+        "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh",
+        r, rho.d, len(records), svds + eighs, svds, eighs,
     )
     return CriterionReport(
         r=r,
@@ -445,56 +443,6 @@ def evaluate_criteria(
         verdict=verdict,
         tolerance=tolerance,
     )
-
-
-def _swap_blocks(rho: DensityMatrix) -> list[list[int]]:
-    """Subsystems grouped so that rho is exactly unchanged by swapping any
-    two in one group.
-
-    Exact invariance under the swaps (a, b) and (b, c) implies it under
-    (a, c), so comparing a subsystem with each group's first member suffices.
-    """
-    blocks: list[list[int]] = []
-    for l in range(1, rho.r + 1):
-        for block in blocks:
-            swapped = apply_permutation(rho, _subsystem_swap(rho.r, block[0], l))
-            if np.array_equal(swapped.entries, rho.entries):
-                block.append(l)
-                break
-        else:
-            blocks.append([l])
-    return blocks
-
-
-def _subsystem_swap(r: int, k: int, l: int) -> Permutation:
-    images = list(range(1, 2 * r + 1))
-    for a, b in ((2 * k - 1, 2 * l - 1), (2 * k, 2 * l)):
-        images[a - 1], images[b - 1] = b, a
-    return Permutation(tuple(images))
-
-
-def _orbit_firsts(
-    keys: list[CanonicalKey], blocks: list[list[int]]
-) -> dict[CanonicalKey, CanonicalKey]:
-    """Map each key to the first of ``keys`` in its orbit under the global
-    transpose and the swaps of subsystems within each block."""
-    moves = [_transpose_key]
-    for block in blocks:  # adjacent swaps generate every permutation of a block
-        moves.extend(partial(_swap_key, k=k, l=l) for k, l in zip(block, block[1:]))
-    first_of: dict[CanonicalKey, CanonicalKey] = {}
-    for key in keys:
-        if key in first_of:
-            continue
-        first_of[key] = key
-        frontier = [key]
-        while frontier:
-            current = frontier.pop()
-            for move in moves:
-                image = move(current)
-                if image not in first_of:
-                    first_of[image] = key
-                    frontier.append(image)
-    return first_of
 
 
 # --- state files -----------------------------------------------------------------

@@ -28,6 +28,7 @@ from permsep import (
     make_state,
     maximally_mixed_state,
     parse_permutation,
+    permutation_from_cycles,
     random_separable_state,
     random_state,
     read_state_file,
@@ -36,7 +37,7 @@ from permsep import (
     trace_norm,
     write_state_file,
 )
-from permsep.states import _orbit_firsts, _subsystem_swap, _swap_blocks
+from permsep.arrows import _transpose_key
 from conftest import (
     apply_permutation_reference,
     permutations_of_degree,
@@ -365,6 +366,7 @@ CROSS_CHECK_STATES = (
     + [(f"separable-{r}-2", lambda r=r: random_separable_state(r, 2, seed=60 + r)) for r in (2, 3, 4)]
     + [(f"noisy-ghz-{r}-2", lambda r=r: _noisy_ghz(r, 2)) for r in (3, 4)]
     + [(f"mixed-{r}-2", lambda r=r: maximally_mixed_state(r, 2)) for r in range(1, 6)]
+    + [("bell-4-2", lambda: bell_pair_state(4, 2, 1, 3))]
 )
 
 
@@ -381,8 +383,8 @@ def _evaluation_counts(caplog, rho: DensityMatrix) -> tuple[int, ...]:
 
 
 class TestOrbitEvaluation:
-    """One decomposition per orbit of classes under the state's symmetries,
-    checked against the per-class route trace_norm(apply_permutation(...))."""
+    """One decomposition per transpose pair of classes, checked against the
+    per-class route trace_norm(apply_permutation(...))."""
 
     @pytest.mark.parametrize(
         "make", [make for _, make in CROSS_CHECK_STATES], ids=[n for n, _ in CROSS_CHECK_STATES]
@@ -408,24 +410,16 @@ class TestOrbitEvaluation:
 
     def test_decomposition_counts_on_full_evaluations(self, caplog):
         assert _evaluation_counts(caplog, random_state(6, 2, seed=1)) == (461, 251, 220, 31)
-        for r, orbits in ((6, 9), (7, 9), (8, 14)):
-            counts = _evaluation_counts(caplog, maximally_mixed_state(r, 2))
-            assert counts[:2] == (len(enumerate_classes(r)) - 1, orbits)
-        assert _evaluation_counts(caplog, _noisy_ghz(3, 3)) == (9, 2, 1, 1)
+        assert _evaluation_counts(caplog, _noisy_ghz(3, 3)) == (9, 6, 3, 3)
 
-    def test_decomposition_counts_of_generic_states(self):
-        # a generic state has the transpose only; its r = 7 and 8 evaluations
-        # take too long for the suite, so count the orbits directly
-        for r, orbits in ((6, 251), (7, 889), (8, 3298)):
-            blocks = _swap_blocks(random_state(r, 2, seed=r))
-            assert blocks == [[k] for k in range(1, r + 1)]
+    def test_decomposition_counts_of_transpose_pairs(self):
+        # the r = 7 and 8 evaluations take too long for the suite, so count
+        # the transpose pairs of keys, split by the decomposition they take
+        for r, svds, eighs in ((6, 220, 31), (7, 826, 63), (8, 3171, 127)):
             keys = [desc.key for desc in enumerate_classes(r)[1:]]
-            assert len(set(_orbit_firsts(keys, blocks).values())) == orbits
-
-    def test_partial_symmetry_found(self):
-        rho = bell_pair_state(4, 2, 1, 3)
-        assert _swap_blocks(rho) == [[1, 3], [2, 4]]
-        self._cross_check(rho)
+            pairs = {frozenset((key, _transpose_key(key))) for key in keys}
+            loops = [pair for pair in pairs if next(iter(pair)).arrow_count == 0]
+            assert (len(pairs) - len(loops), len(loops)) == (svds, eighs)
 
     def test_norms_are_those_of_the_hermitian_part(self):
         rho = random_state(3, 2, seed=4)
@@ -448,10 +442,8 @@ class TestOrbitEvaluation:
         records = [rec for rec in caplog.records if rec.name == "permsep"]
         assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
         assert [rec.getMessage() for rec in records] == [
-            "evaluate r=3 d=3: swap-invariant blocks [[1, 2, 3]], 9 classes, "
-            "2 orbits, 1 svd, 1 eigvalsh",
-            "evaluate r=4 d=2: swap-invariant blocks [[1, 3], [2, 4]], 34 classes, "
-            "12 orbits, 8 svd, 4 eigvalsh",
+            "evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh",
+            "evaluate r=4 d=2: 34 classes, 22 orbits, 15 svd, 7 eigvalsh",
         ]
 
     def test_silent_by_default(self, caplog):
@@ -507,7 +499,7 @@ class TestNormProperties:
         rho = _random_operator(data, hermitian=False)
         assume(rho.r >= 2)
         k, l = data.draw(st.sampled_from(list(itertools.combinations(range(1, rho.r + 1), 2))))
-        s = _subsystem_swap(rho.r, k, l)
+        s = permutation_from_cycles([(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)], 2 * rho.r)
         invariant = DensityMatrix(rho.r, rho.d, (rho.entries + apply_permutation(rho, s).entries) / 2)
         assert np.array_equal(apply_permutation(invariant, s).entries, invariant.entries)
         sigma = data.draw(permutations_of_degree(rho.r))
