@@ -14,7 +14,9 @@ most 1, so any value above 1 certifies entanglement.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,25 @@ class StateFileError(ValueError):
         super().__init__(message)
 
 
+def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
+    """The minimum eigenvalue of the Hermitian matrix m, or None where a
+    Cholesky factorization certifies that it is above EIGENVALUE_FLOOR;
+    and the route taken, "cholesky" or "eigvalsh".
+
+    If m + (|floor| / 2) I has a Cholesky factor, the eigenvalues of m are
+    above floor / 2 less a backward error of about dim * eps * |m|, far
+    above the floor, so no eigendecomposition is needed.  Both routes read
+    the lower triangle.
+    """
+    shifted = m.copy()
+    shifted.flat[:: len(m) + 1] -= EIGENVALUE_FLOOR / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return float(np.min(np.linalg.eigvalsh(m))), "eigvalsh"
+    return None, "cholesky"
+
+
 def _check_dims(r: int, d: int) -> int:
     if r < 1:
         raise ValueError(f"subsystem count must be positive, got {r}")
@@ -132,8 +153,9 @@ class DensityMatrix:
         if abs(tr - 1.0) > TRACE_TOL:
             out.append(f"trace is {tr:.12g}, not 1 within {TRACE_TOL}")
         if not out:
-            lo = float(np.min(np.linalg.eigvalsh(m)))
-            if lo < EIGENVALUE_FLOOR:
+            lo, route = _minimum_eigenvalue(m)
+            object.__setattr__(self, "_positivity", route)  # for read_state_file's log
+            if lo is not None and lo < EIGENVALUE_FLOOR:
                 out.append(f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}")
         return out
 
@@ -449,29 +471,31 @@ def evaluate_criteria(
 #
 # Text format: first data line "r d"; then d^r lines, each holding
 # 2 * d^r whitespace-separated floats, the real and imaginary part of one
-# matrix row in alternation.  Lines starting with '#' are comments.
+# matrix row in alternation.  Lines whose first non-blank character is '#'
+# are comments; blank lines are skipped.  The file is ASCII.
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
+    dim = rho.dim
+    row_format = " ".join(["%.16e"] * (2 * dim)) + "\n"
+    pairs = np.empty(2 * dim)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rho.r} {rho.d}\n")
         for row in rho.entries:
-            fh.write(
-                " ".join(f"{z.real:.16e} {z.imag:.16e}" for z in row) + "\n"
-            )
+            pairs[0::2], pairs[1::2] = row.real, row.imag
+            fh.write(row_format % tuple(pairs.tolist()))
 
 
-def read_state_file(path, validate: bool = True) -> DensityMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.readlines()
-    lines = [
-        (number, line.strip())
-        for number, line in enumerate(raw, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise StateFileError("empty state file")
-    number, header = lines[0]
+def _data_lines(lines):
+    """(line number, line) of every line that is neither blank nor a comment."""
+    for number, line in enumerate(lines, start=1):
+        stripped = line.lstrip()
+        if stripped and not stripped.startswith("#"):
+            yield number, line
+
+
+def _parse_header(number: int, line: str) -> tuple[int, int, int]:
+    header = line.strip()
     parts = header.split()
     if len(parts) != 2:
         raise StateFileError(f"header must be 'r d', got {header!r}", number)
@@ -485,6 +509,61 @@ def read_state_file(path, validate: bool = True) -> DensityMatrix:
         dim = _check_dims(r, d)
     except ValueError as exc:
         raise StateFileError(str(exc), number)
+    return r, d, dim
+
+
+def _read_streamed(path) -> tuple[int, int, np.ndarray] | None:
+    """Parse all rows in one ``np.loadtxt`` call, streaming the lines.
+
+    Returns None, without raising, whenever the file is not a well-formed
+    state file in the grammar ``loadtxt`` shares with ``float``; the row
+    loop then decides, so its errors and its float grammar stay the
+    answer.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = _data_lines(fh)
+            header = next(lines, None)
+            if header is None:
+                return None
+            r, d, dim = _parse_header(*header)
+            rows = (line for _, line in lines)
+            first = next(rows, None)
+            if first is None:  # loadtxt warns on empty input
+                return None
+            a = np.loadtxt(
+                itertools.chain([first], rows),
+                dtype=np.float64,
+                comments=None,
+                ndmin=2,
+                max_rows=dim,
+            )
+            if a.shape != (dim, 2 * dim) or next(rows, None) is not None:
+                return None
+    except ValueError:  # also UnicodeDecodeError and StateFileError
+        return None
+    # the row loop's expression, row by row: over the whole array, numpy's
+    # cast buffers would split rows differently and could flip NaN signs
+    m = np.empty((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(a):
+        m[i] = row[0::2] + 1j * row[1::2]
+    return r, d, m
+
+
+def _read_rows(path) -> tuple[int, int, np.ndarray]:
+    """Parse the file row by row with ``float``: the reference route, and
+    the one that reports what is wrong with a malformed file."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        raw = fh.readlines()
+    for number, line in enumerate(raw, start=1):
+        if not line.isascii():
+            # surrogateescape decodes byte b as the code point 0xDC00 + b
+            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+            raise StateFileError(f"non-ASCII byte 0x{byte:02x}", number)
+    lines = list(_data_lines(raw))
+    if not lines:
+        raise StateFileError("empty state file")
+    r, d, dim = _parse_header(*lines[0])
     data = lines[1:]
     if len(data) != dim:
         raise StateFileError(
@@ -502,10 +581,34 @@ def read_state_file(path, validate: bool = True) -> DensityMatrix:
         except ValueError as exc:
             raise StateFileError(f"row {i + 1}: {exc}", number)
         m[i] = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    return r, d, m
+
+
+def read_state_file(path, validate: bool = True) -> DensityMatrix:
+    """Read a state file, and by default validate the state it holds.
+
+    The streamed parse gives the entries; where it cannot, the row loop
+    does, or raises the StateFileError that names the fault.  One debug
+    record per read gives the routes taken and the parse time.
+    """
+    start = time.perf_counter()
+    parsed = _read_streamed(path)
+    route = "streamed"
+    if parsed is None:
+        parsed = _read_rows(path)
+        route = "row loop"
+    r, d, m = parsed
     rho = DensityMatrix(r, d, m)
-    if validate:
-        try:
+    del parsed, m  # rho holds its own copy; free this one before validating
+    seconds = time.perf_counter() - start
+    try:
+        if validate:
             rho.validate_state()
-        except StateValidationError as exc:
-            raise StateValidationError(f"state file {path}: {exc}")
+    except StateValidationError as exc:
+        raise StateValidationError(f"state file {path}: {exc}")
+    finally:
+        _log.debug(
+            "read r=%d d=%d: %d rows in %.3f s, %s parse, %s positivity check",
+            r, d, rho.dim, seconds, route, rho.__dict__.get("_positivity", "no"),
+        )
     return rho

@@ -263,6 +263,12 @@ class TestEval:
         assert "non-finite entries: 1 NaN, 0 inf" in result.output
         assert "SVD" not in result.output
 
+    def test_non_ascii_byte_exit_3(self, runner, tmp_path):
+        path = tmp_path / "accent.state"
+        path.write_bytes("1 2\n0.5 0 0 0\n0 0 0.5 0 \u00e9\n".encode())
+        result = invoke(runner, "eval", str(path))
+        assert (result.exit_code, result.output) == (3, "error: line 3: non-ASCII byte 0xc3\n")
+
     def test_r1_has_no_rows(self, runner, tmp_path):
         path = tmp_path / "qubit.state"
         write_state_file(path, maximally_mixed_state(1, 2))

@@ -4,6 +4,8 @@ import itertools
 import logging
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from permsep import (
     write_state_file,
 )
 from permsep.arrows import _transpose_key
+from permsep.states import EIGENVALUE_FLOOR, _read_rows, _read_streamed
 from conftest import (
     apply_permutation_reference,
     permutations_of_degree,
@@ -514,7 +517,7 @@ class TestStateFiles:
         write_state_file(path, rho)
         back = read_state_file(path)
         assert back.r == 2 and back.d == 3
-        assert np.allclose(back.entries, rho.entries, atol=1e-15)
+        assert back.entries.tobytes() == rho.entries.tobytes()
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -581,3 +584,164 @@ class TestStateFiles:
         digits = path.read_text().splitlines()[1].split()[0]
         mantissa = digits.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) == 17
+
+    def test_writer_matches_per_entry_formatting(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf, 1 / 3]
+        values = np.array(special + [-x for x in special])
+        m = np.empty(16, dtype=np.complex128)
+        m.real, m.imag = values, values[::-1]
+        rho = DensityMatrix(2, 2, m.reshape(4, 4))
+        write_state_file(tmp_path / "state.txt", rho)
+        expected = "2 2\n" + "".join(
+            " ".join(f"{z.real:.16e} {z.imag:.16e}" for z in row) + "\n" for row in rho.entries
+        )
+        assert (tmp_path / "state.txt").read_bytes() == expected.encode("ascii")
+
+    # both routes compute 1j * inf, whose real part is 0 * inf
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    @property_settings
+    @given(st.data())
+    def test_streamed_parse_matches_row_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "property.state"
+        text = data.draw(_state_file_texts())
+        path.write_bytes(text.encode("ascii"))
+        r, d, m = _read_rows(path)
+        streamed = _read_streamed(path)
+        if "_" in text:  # loadtxt does not take Python's digit separators
+            assert streamed is None
+        else:
+            assert streamed[:2] == (r, d)
+            assert streamed[2].tobytes() == m.tobytes()
+        assert read_state_file(path, validate=False).entries.tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the row count is checked before any token is read
+            ("2 2\n" + "x " * 8 + "\n", "expected 4 matrix rows for r=2, d=2, found 1"),
+            ("1 2\n0.5 0 0 0\n0 0 0.5 0\n0 0 0 0\n", "expected 2 matrix rows for r=1, d=2, found 3"),
+            ("1 2\n", "expected 2 matrix rows for r=1, d=2, found 0"),
+            ("1 2\n0.5 0 0 0\n0 0 0.5\n", "line 3: row 2 needs 4 numbers, found 3"),
+            (
+                "1 2\n# c\n0.5 0 0 0\n\n  # c2\n0 x 0.5 0\n",
+                "line 6: row 2: could not convert string to float: 'x'",
+            ),
+            ("1 2\n0.5 0 0 0 # c\n0 0 0.5 0\n", "line 2: row 1 needs 4 numbers, found 6"),
+            ("# only\n\n", "empty state file"),
+        ],
+    )
+    def test_error_precedence_and_line_numbers(self, tmp_path, text, message):
+        path = tmp_path / "state.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on empty input either
+            with pytest.raises(StateFileError) as info:
+                read_state_file(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ("1 2\n0.5 0 0 0\n0 0 0.5 0 \u00e9\n".encode(), "line 3: non-ASCII byte 0xc3"),
+            ("1 2\n# caf\u00e9\n0.5 0 0 0\n0 0 0.5 0\n".encode(), "line 2: non-ASCII byte 0xc3"),
+            (b"1 2\r\n0.5 0 0 0\r\n0 0 0.5 0\xff\r\n", "line 3: non-ASCII byte 0xff"),
+            # like the decode error it replaces, it wins over every other check
+            ("2 2\n0 0 \u00e9\n".encode(), "line 2: non-ASCII byte 0xc3"),
+        ],
+    )
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "state.txt"
+        path.write_bytes(data)
+        with pytest.raises(StateFileError) as info:
+            read_state_file(path)
+        assert str(info.value) == message
+
+    def test_read_peak_memory(self, tmp_path):
+        # the parent held the text twice and a list of floats: 8x the matrix
+        path = tmp_path / "state.txt"
+        write_state_file(path, random_state(8, 2, seed=2))
+        tracemalloc.start()
+        try:
+            read_state_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 16 * 256**2
+
+    def test_one_debug_record_per_read(self, tmp_path, caplog):
+        fast, slow = tmp_path / "fast.state", tmp_path / "slow.state"
+        write_state_file(fast, bell_pair_state(2, 2, 1, 2))
+        slow.write_text("1 2\n0.5 0 0 0\n0 0 0.5 0_0\n")
+        with caplog.at_level(logging.DEBUG, logger="permsep"):
+            read_state_file(fast)
+            read_state_file(slow, validate=False)
+        records = [rec for rec in caplog.records if rec.name == "permsep"]
+        assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
+        pattern = r"read r=(\d) d=2: (\d) rows in \d+\.\d{3} s, (.*) parse, (\w+) positivity check"
+        found = [re.fullmatch(pattern, rec.getMessage()).groups() for rec in records]
+        assert found == [("2", "4", "streamed", "cholesky"), ("1", "2", "row loop", "no")]
+
+    def test_read_silent_by_default(self, tmp_path, caplog):
+        path = tmp_path / "state.txt"
+        write_state_file(path, bell_pair_state(2, 2, 1, 2))
+        read_state_file(path)
+        assert not [rec for rec in caplog.records if rec.name == "permsep"]
+
+
+# float spellings that float() reads; loadtxt rejects only the digit separators
+SPECIAL_TOKENS = [
+    "+.5", "-.25", "0.0", "-0.0", "+0", "-0", "1E+05", "2e-320", "5e-324",
+    "inf", "-Infinity", "+INF", "nan", "-nan", "NaN", "1_0", "1_000.5",
+]
+
+
+@st.composite
+def _state_file_texts(draw) -> str:
+    r, d = draw(st.sampled_from([(1, 2), (2, 2), (1, 3), (1, 4), (3, 2), (2, 3)]))
+    dim = d**r
+    token = st.one_of(
+        st.floats().map(repr),
+        st.floats().map(lambda x: f"{x:.16e}"),
+        st.sampled_from(SPECIAL_TOKENS),
+    )
+    filler = st.lists(
+        st.sampled_from(["", "  ", "\t", "# comment", "  # indented", "#"]), max_size=2
+    )
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = draw(filler) + [draw(pad) + f"{r} {d}" + draw(pad)]
+    for _ in range(dim):
+        lines += draw(filler)
+        tokens = draw(st.lists(token, min_size=2 * dim, max_size=2 * dim))
+        row = tokens[0] + "".join(draw(st.sampled_from([" ", "  ", "\t", " \t "])) + tok for tok in tokens[1:])
+        lines.append(draw(pad) + row + draw(pad))
+    lines += draw(filler)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+class TestPositivityCertificate:
+    """The Cholesky certificate accepts only states the eigvalsh rule accepts,
+    and the rejection text is the eigvalsh rule's."""
+
+    @pytest.mark.parametrize("r, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2), (6, 2), (8, 2)])
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+    def test_same_verdict_as_eigvalsh_at_the_floor(self, r, d, scale):
+        dim = d**r
+        rng = np.random.default_rng(dim)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        spectrum = np.full(dim, 0.0)
+        spectrum[0] = EIGENVALUE_FLOOR * scale
+        spectrum[1:] = (1 - spectrum[0]) / (dim - 1)
+        m = (q * spectrum) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        m[np.diag_indices(dim)] += (1 - np.trace(m).real) / dim
+        rho = DensityMatrix(r, d, m)
+        lo = float(np.min(np.linalg.eigvalsh(rho.entries)))
+        expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if lo < EIGENVALUE_FLOOR else []
+        assert rho.state_violations() == expected
+        assert (lo < EIGENVALUE_FLOOR) == (scale > 1)
+
+    def test_certificate_taken_on_valid_states(self):
+        for rho in (random_state(2, 2, seed=1), ghz_state(3, 2), bell_pair_state(2, 3, 1, 2)):
+            assert rho.state_violations() == []
+            assert rho.__dict__["_positivity"] == "cholesky"
