@@ -31,7 +31,6 @@ from .arrows import (
     prune,
 )
 from .normgroup import (
-    ClassDescriptor,
     NormGroupElement,
     census_by_type,
     census_records,

@@ -53,6 +53,7 @@ __all__ = [
     "canonical_key",
     "equivalent",
     "canonicalize",
+    "type_label",
 ]
 
 
@@ -133,9 +134,21 @@ class ArrowConfiguration:
         return _render_arrows(self.arrows)
 
 
+def type_label(arrow_count: int, loop_count: int) -> str:
+    """Structural label: arrows as "R", loops as "QT", coefficient 1 omitted."""
+    if arrow_count == 0 and loop_count == 0:
+        return "trivial"
+    parts = []
+    if arrow_count:
+        parts.append("R" if arrow_count == 1 else f"{arrow_count}R")
+    if loop_count:
+        parts.append("QT" if loop_count == 1 else f"{loop_count}QT")
+    return "+".join(parts)
+
+
 @dataclass(frozen=True)
 class CanonicalKey:
-    """Flip-reduced (head set, tail set) pair; one per equivalence class.
+    """Flip-reduced (head set, tail set) pair: one criterion class.
 
     Loops belong to both sets.  Of the two flip-related candidates the
     constructor demands the one with the smaller rank
@@ -173,9 +186,25 @@ class CanonicalKey:
         return len(self.heads) - self.loop_count
 
     @property
+    def type_label(self) -> str:
+        return type_label(self.arrow_count, self.loop_count)
+
+    @property
+    def partner_label(self) -> str:
+        """Type of the flip partner, the other drawing of the same class."""
+        heads, tails = _flip_sets(self.r, self.heads, self.tails)
+        loops = len(set(heads) & set(tails))
+        return type_label(len(heads) - loops, loops)
+
+    @property
     def rank(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Deterministic sort rank: (#arrows + #loops, tails, heads)."""
         return _key_rank((self.heads, self.tails))
+
+    @property
+    def key(self) -> "CanonicalKey":
+        """The key itself, so a class and a ``ClassNorm`` both read ``.key``."""
+        return self
 
     def render(self) -> str:
         h = "{" + ",".join(str(k) for k in self.heads) + "}"
@@ -301,6 +330,16 @@ def _transposition_of_arrow(tail: int, head: int) -> tuple[int, int]:
     if tail == head:
         return (2 * tail - 1, 2 * tail)
     return (2 * tail, 2 * head - 1)
+
+
+def _arrows_of_sets(heads: Iterable[int], tails: Iterable[int]) -> list[tuple[int, int]]:
+    """(tail, head) pairs of the simplest drawing of these head and tail
+    sets: a loop on each subsystem in both, then the remaining tails paired
+    in sorted order with the remaining heads."""
+    loops = set(heads) & set(tails)
+    arrow_heads = sorted(set(heads) - loops)
+    arrow_tails = sorted(set(tails) - loops)
+    return [(k, k) for k in sorted(loops)] + list(zip(arrow_tails, arrow_heads))
 
 
 def _render_arrows(arrows: Iterable[tuple[int, int]]) -> str:

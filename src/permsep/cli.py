@@ -16,7 +16,6 @@ from .normgroup import (
     class_count,
     enumerate_classes,
     representative_permutation,
-    type_label,
 )
 from .states import (
     StateFileError,
@@ -24,6 +23,7 @@ from .states import (
     evaluate_criteria,
     read_state_file,
     VERDICT_TOLERANCE,
+    _valid_tolerance,
 )
 from .selftest import CHECK_NAMES, DEFAULT_SEED, run_checks
 
@@ -49,10 +49,10 @@ def _check_r(r: int) -> int:
 
 
 def _check_tolerance(ctx, param, value: float) -> float:
-    # "not >=" also rejects nan, which would call every state UNDETECTED
-    if not value >= 0:
-        raise click.BadParameter(f"{value} is not >= 0")
-    return value
+    try:
+        return _valid_tolerance(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 @click.group()
@@ -95,7 +95,7 @@ def canon(subsystems: int, show_trace: bool, show_sketch: bool, perm: str) -> No
             )
             click.echo(f"  {t} {row}")
     click.echo(f"canonical key: {key.render()}")
-    click.echo(f"label: {type_label(key.arrow_count, key.loop_count)}")
+    click.echo(f"label: {key.type_label}")
 
 
 @main.command()
@@ -145,13 +145,13 @@ def list_classes(subsystems: int, fmt: str) -> None:
     click.echo(f"r={r}: {total} classes, {total - 1} nontrivial criteria")
     click.echo("")
     click.echo(f"{'a':>3} {'l':>3}  {'label':<8} {'key':<28} representative")
-    for desc in enumerate_classes(r):
-        if desc.trivial:
+    for key in enumerate_classes(r):
+        if key.is_trivial:
             continue
-        rep = representative_permutation(desc.key)
+        rep = representative_permutation(key)
         click.echo(
-            f"{desc.arrow_count:>3} {desc.loop_count:>3}  {desc.type_label:<8} "
-            f"{desc.key.render():<28} {rep}"
+            f"{key.arrow_count:>3} {key.loop_count:>3}  {key.type_label:<8} "
+            f"{key.render():<28} {rep}"
         )
     click.echo("")
     click.echo("census by type:")
@@ -172,29 +172,29 @@ def list_classes(subsystems: int, fmt: str) -> None:
 def enumerate_cosets(subsystems: int, fmt: str) -> None:
     """Dump every equivalence class, one reduced key per line."""
     r = _check_r(subsystems)
-    descriptors = enumerate_classes(r)
+    keys = enumerate_classes(r)
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["r", "heads", "tails", "a", "l", "label", "representative"])
-        for desc in descriptors:
+        for key in keys:
             writer.writerow(
                 [
                     r,
-                    " ".join(map(str, desc.key.heads)),
-                    " ".join(map(str, desc.key.tails)),
-                    desc.arrow_count,
-                    desc.loop_count,
-                    desc.type_label,
-                    str(representative_permutation(desc.key)),
+                    " ".join(map(str, key.heads)),
+                    " ".join(map(str, key.tails)),
+                    key.arrow_count,
+                    key.loop_count,
+                    key.type_label,
+                    str(representative_permutation(key)),
                 ]
             )
         click.echo(out.getvalue(), nl=False)
         return
-    click.echo(f"r={r}: {len(descriptors)} classes (1 trivial)")
-    for desc in descriptors:
-        rep = representative_permutation(desc.key)
-        click.echo(f"{desc.key.render():<28} {desc.type_label:<8} {rep}")
+    click.echo(f"r={r}: {len(keys)} classes (1 trivial)")
+    for key in keys:
+        rep = representative_permutation(key)
+        click.echo(f"{key.render():<28} {key.type_label:<8} {rep}")
 
 
 @main.command(name="eval")
@@ -220,24 +220,18 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
         report = evaluate_criteria(rho, tolerance=tolerance)
     except (StateFileError, StateValidationError, ValueError) as exc:
         _fail_data(str(exc))
-    ranked = sorted(report.records, key=lambda rec: (-rec.norm, rec.descriptor.key.rank))
+    ranked = sorted(report.records, key=lambda rec: (-rec.norm, rec.key.rank))
     if fmt == "csv":
         for rec in ranked:
-            heads = " ".join(map(str, rec.descriptor.key.heads))
-            tails = " ".join(map(str, rec.descriptor.key.tails))
-            click.echo(
-                f"{report.r},{rec.descriptor.type_label},{heads},{tails},"
-                f"{rec.norm:.12f}"
-            )
+            heads = " ".join(map(str, rec.key.heads))
+            tails = " ".join(map(str, rec.key.tails))
+            click.echo(f"{report.r},{rec.key.type_label},{heads},{tails},{rec.norm:.12f}")
         click.echo(f"verdict,{report.verdict.upper()},max,{report.max_norm:.12f}")
         return
     click.echo(f"state: r={report.r} d={report.d} ({rho.dim}x{rho.dim})")
     click.echo(f"{'label':<8} {'key':<28} norm")
     for rec in ranked:
-        click.echo(
-            f"{rec.descriptor.type_label:<8} {rec.descriptor.key.render():<28} "
-            f"{rec.norm:.12f}"
-        )
+        click.echo(f"{rec.key.type_label:<8} {rec.key.render():<28} {rec.norm:.12f}")
     click.echo(f"max norm: {report.max_norm:.12f} (tolerance {report.tolerance:g})")
     click.echo(f"verdict: {report.verdict.upper()}")
 

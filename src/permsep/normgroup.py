@@ -14,12 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .perms import Permutation, global_transpose, identity
-from .arrows import CanonicalKey, canonical_key, _flip_sets, _reduced_key
+from .perms import Permutation, global_transpose, identity, permutation_from_cycles
+from .arrows import CanonicalKey, canonical_key, type_label
+from .arrows import _arrows_of_sets, _reduced_key, _transposition_of_arrow
 
 __all__ = [
     "NormGroupElement",
-    "ClassDescriptor",
     "is_norm_preserving",
     "classify",
     "generators",
@@ -147,54 +147,12 @@ def group_elements(r: int, method: str = "auto") -> frozenset[Permutation]:
 # --- classes ------------------------------------------------------------------
 
 
-def type_label(arrow_count: int, loop_count: int) -> str:
-    """Structural label: arrows as "R", loops as "QT", coefficient 1 omitted."""
-    if arrow_count == 0 and loop_count == 0:
-        return "trivial"
-    parts = []
-    if arrow_count:
-        parts.append("R" if arrow_count == 1 else f"{arrow_count}R")
-    if loop_count:
-        parts.append("QT" if loop_count == 1 else f"{loop_count}QT")
-    return "+".join(parts)
-
-
-@dataclass(frozen=True)
-class ClassDescriptor:
-    """One equivalence class of criteria, described by its reduced key."""
-
-    key: CanonicalKey
-
-    @property
-    def arrow_count(self) -> int:
-        return self.key.arrow_count
-
-    @property
-    def loop_count(self) -> int:
-        return self.key.loop_count
-
-    @property
-    def type_label(self) -> str:
-        return type_label(self.arrow_count, self.loop_count)
-
-    @property
-    def partner_label(self) -> str:
-        """Type of the flip partner, the other drawing of the same class."""
-        heads, tails = _flip_sets(self.key.r, self.key.heads, self.key.tails)
-        loops = len(set(heads) & set(tails))
-        return type_label(len(heads) - loops, loops)
-
-    @property
-    def trivial(self) -> bool:
-        return self.key.is_trivial
-
-
 def class_count(r: int) -> int:
     return math.comb(2 * r, r) // 2
 
 
-def enumerate_classes(r: int) -> list[ClassDescriptor]:
-    """One descriptor per flip-reduced (heads, tails) pair, trivial included.
+def enumerate_classes(r: int) -> list[CanonicalKey]:
+    """One key per flip-reduced (heads, tails) pair, trivial included.
 
     Enumerates the C(2r, r) head/tail set pairs rather than the (2r)!
     permutations, keeps the flip-reduced member of each pair, and sorts by
@@ -209,7 +167,7 @@ def enumerate_classes(r: int) -> list[ClassDescriptor]:
         for heads in itertools.combinations(subsystems, k)
         for tails in itertools.combinations(subsystems, k)
     }
-    out = [ClassDescriptor(key) for key in sorted(keys, key=lambda key: key.rank)]
+    out = sorted(keys, key=lambda key: key.rank)
     if len(out) != class_count(r):
         raise RuntimeError(
             f"enumerated {len(out)} classes for r={r}, expected {class_count(r)}"
@@ -218,20 +176,12 @@ def enumerate_classes(r: int) -> list[ClassDescriptor]:
 
 
 def representative_permutation(key: CanonicalKey) -> Permutation:
-    """Simplest permutation in the class: loops on heads & tails, arrows
-    pairing the remaining sorted tails with the remaining sorted heads."""
-    loops = sorted(set(key.heads) & set(key.tails))
-    arrow_tails = [t for t in key.tails if t not in loops]
-    arrow_heads = [h for h in key.heads if h not in loops]
-    cycles: list[tuple[int, int]] = [(2 * k - 1, 2 * k) for k in loops]
-    cycles.extend(
-        (2 * t, 2 * h - 1) for t, h in zip(arrow_tails, arrow_heads)
+    """Simplest permutation in the class: the transpositions of the key's
+    loops and arrows, as ``arrows._arrows_of_sets`` pairs them."""
+    arrows = _arrows_of_sets(key.heads, key.tails)
+    perm = permutation_from_cycles(
+        [_transposition_of_arrow(t, h) for t, h in arrows], 2 * key.r
     )
-    degree = 2 * key.r
-    images = list(range(1, degree + 1))
-    for a, b in cycles:
-        images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-    perm = Permutation(tuple(images))
     if canonical_key(perm) != key:
         raise RuntimeError(f"representative of {key.render()} fails to round-trip")
     return perm
@@ -251,11 +201,10 @@ def census_records(r: int) -> list[CensusRow]:
     """Nontrivial class counts grouped by the reduced representative's
     structural type; the flip partner's type rides along since one class
     can be displayed in either form."""
-    groups: dict[tuple[int, int], list[ClassDescriptor]] = {}
-    for desc in enumerate_classes(r):
-        if desc.trivial:
-            continue
-        groups.setdefault((desc.arrow_count, desc.loop_count), []).append(desc)
+    groups: dict[tuple[int, int], list[CanonicalKey]] = {}
+    for key in enumerate_classes(r):
+        if not key.is_trivial:
+            groups.setdefault((key.arrow_count, key.loop_count), []).append(key)
     rows = []
     for (a, l), members in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         partners = {m.partner_label for m in members}

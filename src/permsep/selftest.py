@@ -170,10 +170,10 @@ def _check_separability_bound(seed: int) -> tuple[bool, str]:
         itertools.cycle([(2, 2), (2, 3), (3, 2), (3, 3)]), 100
     )):
         rho = random_separable_state(r, d, terms=1 + i % 10, seed=seed + i)
-        for desc in enumerate_classes(r):
-            if desc.trivial:
+        for key in enumerate_classes(r):
+            if key.is_trivial:
                 continue
-            rep = representative_permutation(desc.key)
+            rep = representative_permutation(key)
             worst = max(worst, trace_norm(apply_permutation(rho, rep)))
         count += 1
     ok = worst <= 1.0 + 1e-9
@@ -187,18 +187,16 @@ def _check_detectors(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for r in (2, 3, 4):
         n = 0
-        for desc in enumerate_classes(r):
-            if desc.trivial:
+        for key in enumerate_classes(r):
+            if key.is_trivial:
                 continue
-            rho = detector_state(desc, 2)
-            rep = representative_permutation(desc.key)
+            rho = detector_state(key, 2)
+            rep = representative_permutation(key)
             norm = trace_norm(apply_permutation(rho, rep))
-            target = 2.0 ** (desc.arrow_count + desc.loop_count)
+            target = 2.0 ** (key.arrow_count + key.loop_count)
             worst = max(worst, abs(norm - target))
             if not (norm > 1.0 and abs(norm - target) < 1e-9):
-                return False, (
-                    f"r={r} class {desc.key.render()}: norm {norm}, want {target}"
-                )
+                return False, f"r={r} class {key.render()}: norm {norm}, want {target}"
             n += 1
         checked[r] = n
     elapsed = time.perf_counter() - start

@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .perms import Permutation, inverse
-from .normgroup import (
-    MAX_CLASS_R,
-    ClassDescriptor,
-    enumerate_classes,
-    representative_permutation,
-)
-from .arrows import CanonicalKey, _flip_sets, _transpose_key
+from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
+from .arrows import CanonicalKey, _arrows_of_sets, _flip_sets, _transpose_key
 
 __all__ = [
     "MAX_DIM",
@@ -350,7 +345,7 @@ def make_state(kind: str, r: int, d: int, **params) -> DensityMatrix:
     return STATE_KINDS[kind](r, d, **params)
 
 
-def detector_state(descriptor: ClassDescriptor, d: int) -> DensityMatrix:
+def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     """A state whose criterion value for this class is d^(arrows + loops).
 
     Places a maximally entangled pair across each arrow and across each
@@ -359,29 +354,22 @@ def detector_state(descriptor: ClassDescriptor, d: int) -> DensityMatrix:
     loops; if a raw key does not, its flip does, and both sides of a flip
     give equal criterion values.
     """
-    if descriptor.trivial:
+    if key.is_trivial:
         raise ValueError("the trivial class detects nothing")
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {d}")
-    key = descriptor.key
     r = key.r
     _check_dims(r, d)
     heads, tails = key.heads, key.tails
     if key.loop_count > r - len(set(heads) | set(tails)):
         heads, tails = _flip_sets(r, heads, tails)
-    loops = sorted(set(heads) & set(tails))
+    arrows = _arrows_of_sets(heads, tails)
+    loops = [t for t, h in arrows if t == h]
     free = sorted(set(range(1, r + 1)) - set(heads) - set(tails))
-    arrow_tails = [t for t in tails if t not in loops]
-    arrow_heads = [h for h in heads if h not in loops]
-    pair = _max_entangled_pair(d)
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    used: set[int] = set()
-    for t, h in zip(arrow_tails, arrow_heads):
-        factors.append(((t, h), pair))
-        used |= {t, h}
-    for loop, partner in zip(loops, free):
-        factors.append(((loop, partner), pair))
-        used |= {loop, partner}
+    pairs = [(t, h) for t, h in arrows if t != h] + list(zip(loops, free))
+    used = {k for pair in pairs for k in pair}
+    entangled = _max_entangled_pair(d)
+    factors = [(pair, entangled) for pair in pairs]
     eye = np.eye(d, dtype=np.complex128) / d
     factors.extend(((j,), eye) for j in range(1, r + 1) if j not in used)
     return DensityMatrix(r, d, _product_of_factors(r, d, factors)).validate_state()
@@ -392,7 +380,7 @@ def detector_state(descriptor: ClassDescriptor, d: int) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class ClassNorm:
-    descriptor: ClassDescriptor
+    key: CanonicalKey
     representative: Permutation
     norm: float
 
@@ -407,6 +395,13 @@ class CriterionReport:
     max_norm: float
     verdict: str
     tolerance: float
+
+
+def _valid_tolerance(tolerance: float) -> float:
+    # "not >=" also rejects nan, which would call every state undetected
+    if not tolerance >= 0:
+        raise ValueError(f"{tolerance} is not >= 0")
+    return tolerance
 
 
 def evaluate_criteria(
@@ -425,8 +420,9 @@ def evaluate_criteria(
     sigma and the class of (global transpose) * sigma have equal norms; one
     decomposition serves both.  Loop-only classes are partial transposes,
     Hermitian, and take the sum of absolute eigenvalues; the others take
-    ``trace_norm``.
+    ``trace_norm``.  A negative or NaN tolerance raises ValueError.
     """
+    _valid_tolerance(tolerance)
     rho.validate_state()
     r, m = rho.r, rho.entries
     herm = rho
@@ -435,10 +431,9 @@ def evaluate_criteria(
     norm_of: dict[CanonicalKey, float] = {}
     svds = eighs = 0
     records = []
-    for descriptor in enumerate_classes(r):
-        if descriptor.trivial:
+    for key in enumerate_classes(r):
+        if key.is_trivial:
             continue
-        key = descriptor.key
         rep = representative_permutation(key)
         norm = norm_of.get(_transpose_key(key))
         if norm is None:
@@ -450,7 +445,7 @@ def evaluate_criteria(
                 norm = trace_norm(apply_permutation(herm, rep))
                 svds += 1
         norm_of[key] = norm
-        records.append(ClassNorm(descriptor, rep, norm))
+        records.append(ClassNorm(key, rep, norm))
     max_norm = max((rec.norm for rec in records), default=0.0)
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
@@ -472,18 +467,17 @@ def evaluate_criteria(
 # Text format: first data line "r d"; then d^r lines, each holding
 # 2 * d^r whitespace-separated floats, the real and imaginary part of one
 # matrix row in alternation.  Lines whose first non-blank character is '#'
-# are comments; blank lines are skipped.  The file is ASCII.
+# are comments; blank lines are skipped.  The file is ASCII.  A row is the
+# float64 view of one complex128 matrix row, so the writer and both
+# readers go through that view and every entry keeps the file's bits.
 
 
 def write_state_file(path, rho: DensityMatrix) -> None:
-    dim = rho.dim
-    row_format = " ".join(["%.16e"] * (2 * dim)) + "\n"
-    pairs = np.empty(2 * dim)
+    row_format = " ".join(["%.16e"] * (2 * rho.dim)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rho.r} {rho.d}\n")
-        for row in rho.entries:
-            pairs[0::2], pairs[1::2] = row.real, row.imag
-            fh.write(row_format % tuple(pairs.tolist()))
+        for row in rho.entries.view(np.float64):
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def _data_lines(lines):
@@ -540,14 +534,9 @@ def _read_streamed(path) -> tuple[int, int, np.ndarray] | None:
             )
             if a.shape != (dim, 2 * dim) or next(rows, None) is not None:
                 return None
+            return r, d, a.view(np.complex128)
     except ValueError:  # also UnicodeDecodeError and StateFileError
         return None
-    # the row loop's expression, row by row: over the whole array, numpy's
-    # cast buffers would split rows differently and could flip NaN signs
-    m = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(a):
-        m[i] = row[0::2] + 1j * row[1::2]
-    return r, d, m
 
 
 def _read_rows(path) -> tuple[int, int, np.ndarray]:
@@ -569,7 +558,7 @@ def _read_rows(path) -> tuple[int, int, np.ndarray]:
         raise StateFileError(
             f"expected {dim} matrix rows for r={r}, d={d}, found {len(data)}"
         )
-    m = np.zeros((dim, dim), dtype=np.complex128)
+    m = np.empty((dim, dim), dtype=np.complex128)
     for i, (number, line) in enumerate(data):
         tokens = line.split()
         if len(tokens) != 2 * dim:
@@ -580,7 +569,7 @@ def _read_rows(path) -> tuple[int, int, np.ndarray]:
             values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise StateFileError(f"row {i + 1}: {exc}", number)
-        m[i] = np.array(values[0::2]) + 1j * np.array(values[1::2])
+        m.view(np.float64)[i] = values
     return r, d, m
 
 

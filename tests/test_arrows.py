@@ -31,6 +31,7 @@ from permsep import (
     permutation_from_cycles,
     prune,
     representative_permutation,
+    type_label,
 )
 from permsep.arrows import _flip_sets, _transpose_key, key_of_configuration
 from conftest import (
@@ -318,8 +319,7 @@ class TestCanonicalKey:
     def test_built_keys_pass_the_public_checks(self):
         # canonical_key and enumerate_classes skip the constructor's checks
         for r in range(1, 9):
-            for desc in enumerate_classes(r):
-                key = desc.key
+            for key in enumerate_classes(r):
                 assert CanonicalKey(r, key.heads, key.tails) == key
         rng = np.random.default_rng(19)
         for r in (5, 8, 12):
@@ -367,9 +367,28 @@ class TestTransposeKey:
     def test_matches_canonical_key_of_composition(self):
         for r in range(2, 9):
             tau = global_transpose(2 * r)
-            for desc in enumerate_classes(r):
-                rep = representative_permutation(desc.key)
-                assert _transpose_key(desc.key) == canonical_key(compose(tau, rep))
+            for key in enumerate_classes(r):
+                rep = representative_permutation(key)
+                assert _transpose_key(key) == canonical_key(compose(tau, rep))
+
+
+class TestKeyDrawing:
+    """A key's loops, arrows and labels, against the rewrite route."""
+
+    def test_normal_form_of_representative_draws_the_key(self):
+        for r in range(1, 9):
+            for key in enumerate_classes(r):
+                config = normal_form(representative_permutation(key))
+                loops = set(key.heads) & set(key.tails)
+                assert config.loops == loops
+                assert (config.heads, config.tails) == (set(key.heads), set(key.tails))
+                assert len(config.arrows) - len(loops) == key.arrow_count
+                assert key.type_label == _label(config)
+                assert key.partner_label == _label(flip(config))
+
+
+def _label(config: ArrowConfiguration) -> str:
+    return type_label(len(config.arrows) - len(config.loops), len(config.loops))
 
 
 class TestEquivalent:

@@ -263,6 +263,15 @@ class TestEval:
         assert "non-finite entries: 1 NaN, 0 inf" in result.output
         assert "SVD" not in result.output
 
+    @pytest.mark.filterwarnings("error")
+    def test_inf_imaginary_part_counted_once(self, runner, tmp_path):
+        # read as re + 1j * im, the entry would also have a NaN real part, 0 * inf
+        path = tmp_path / "inf.state"
+        path.write_text("1 2\n0.5 inf 0 0\n0 0 0.5 0\n")
+        result = invoke(runner, "eval", str(path))
+        assert result.exit_code == 3
+        assert "non-finite entries: 0 NaN, 1 inf" in result.output
+
     def test_non_ascii_byte_exit_3(self, runner, tmp_path):
         path = tmp_path / "accent.state"
         path.write_bytes("1 2\n0.5 0 0 0\n0 0 0.5 0 \u00e9\n".encode())

@@ -101,29 +101,28 @@ class TestGroupElements:
 class TestEnumerateClasses:
     def test_counts(self):
         for r, want in ((1, 1), (2, 3), (3, 10), (4, 35), (8, 6435)):
-            descriptors = enumerate_classes(r)
-            assert len(descriptors) == want == class_count(r)
-            assert sum(1 for d in descriptors if not d.trivial) == want - 1
+            keys = enumerate_classes(r)
+            assert len(keys) == want == class_count(r)
+            assert all(isinstance(key, CanonicalKey) for key in keys)
+            assert sum(1 for key in keys if not key.is_trivial) == want - 1
 
     def test_r2_classes_in_order(self):
-        labels = [d.type_label for d in enumerate_classes(2)]
+        labels = [key.type_label for key in enumerate_classes(2)]
         assert labels == ["trivial", "QT", "R"]
 
     def test_keys_are_reduced_and_sorted(self):
         for r in (2, 3, 4):
-            descriptors = enumerate_classes(r)
-            ranks = [d.key.rank for d in descriptors]
+            keys = enumerate_classes(r)
+            ranks = [key.rank for key in keys]
             assert ranks == sorted(ranks)
-            for d in descriptors:
-                assert d.arrow_count == d.key.arrow_count
-                assert d.loop_count == d.key.loop_count
-                assert 2 * d.arrow_count + d.loop_count <= r
+            for key in keys:
+                assert 2 * key.arrow_count + key.loop_count <= r
 
     def test_trivial_flag_matches_identity_key(self):
         for r in (1, 2, 3):
             identity_key = canonical_key(identity(2 * r))
-            for d in enumerate_classes(r):
-                assert d.trivial == (d.key == identity_key)
+            for key in enumerate_classes(r):
+                assert key.is_trivial == (key == identity_key)
 
     def test_guard(self):
         with pytest.raises(ValueError, match="1..8"):
@@ -142,9 +141,8 @@ class TestRepresentative:
 
     def test_right_inverse_of_key_up_to_r6(self):
         for r in range(1, 7):
-            for d in enumerate_classes(r):
-                rep = representative_permutation(d.key)
-                assert canonical_key(rep) == d.key
+            for key in enumerate_classes(r):
+                assert canonical_key(representative_permutation(key)) == key
 
 
 class TestCensus:

@@ -250,43 +250,43 @@ class TestStateFactory:
 
 class TestDetectorStates:
     def test_r2_witnesses(self):
-        for desc in enumerate_classes(2):
-            if desc.trivial:
+        for key in enumerate_classes(2):
+            if key.is_trivial:
                 continue
-            rho = detector_state(desc, 2)
-            rep = representative_permutation(desc.key)
+            rho = detector_state(key, 2)
+            rep = representative_permutation(key)
             assert abs(trace_norm(apply_permutation(rho, rep)) - 2.0) < 1e-9
 
     def test_single_arrow_class_r3(self):
         # the reduced representative of an arrow class at r=3 has one arrow
         # and no loop, so its witness value is 2
-        desc = next(
-            d for d in enumerate_classes(3) if d.arrow_count == 1 and d.loop_count == 0
+        key = next(
+            k for k in enumerate_classes(3) if k.arrow_count == 1 and k.loop_count == 0
         )
-        rho = detector_state(desc, 2)
-        rep = representative_permutation(desc.key)
+        rho = detector_state(key, 2)
+        rep = representative_permutation(key)
         assert abs(trace_norm(apply_permutation(rho, rep)) - 2.0) < 1e-9
 
     def test_arrow_plus_loop_class_r4(self):
-        desc = next(
-            d for d in enumerate_classes(4) if d.arrow_count == 1 and d.loop_count == 1
+        key = next(
+            k for k in enumerate_classes(4) if k.arrow_count == 1 and k.loop_count == 1
         )
-        rho = detector_state(desc, 2)
-        rep = representative_permutation(desc.key)
+        rho = detector_state(key, 2)
+        rep = representative_permutation(key)
         assert abs(trace_norm(apply_permutation(rho, rep)) - 4.0) < 1e-9
 
     def test_norm_is_power_of_d(self):
         for d in (2, 3):
-            for desc in enumerate_classes(3):
-                if desc.trivial:
+            for key in enumerate_classes(3):
+                if key.is_trivial:
                     continue
-                rho = detector_state(desc, d)
-                rep = representative_permutation(desc.key)
-                want = float(d) ** (desc.arrow_count + desc.loop_count)
+                rho = detector_state(key, d)
+                rep = representative_permutation(key)
+                want = float(d) ** (key.arrow_count + key.loop_count)
                 assert abs(trace_norm(apply_permutation(rho, rep)) - want) < 1e-9
 
     def test_trivial_rejected(self):
-        trivial = next(d for d in enumerate_classes(2) if d.trivial)
+        trivial = next(k for k in enumerate_classes(2) if k.is_trivial)
         with pytest.raises(ValueError, match="trivial"):
             detector_state(trivial, 2)
 
@@ -297,10 +297,18 @@ class TestEvaluateCriteria:
         assert report.verdict == "undetected"
         assert all(rec.norm <= 1 + 1e-9 for rec in report.records)
 
+    def test_tolerance_must_be_nonnegative(self):
+        # -1 would call the maximally mixed state entangled, and nan would
+        # call a Bell pair undetected
+        for bad, rho in ((-1.0, maximally_mixed_state(2, 2)), (math.nan, bell_pair_state(2, 2, 1, 2))):
+            with pytest.raises(ValueError, match="is not >= 0"):
+                evaluate_criteria(rho, tolerance=bad)
+        assert evaluate_criteria(maximally_mixed_state(2, 2), tolerance=0.0).verdict == "undetected"
+
     def test_bell_detected_by_both(self):
         report = evaluate_criteria(bell_pair_state(2, 2, 1, 2))
         assert report.verdict == "entangled"
-        by_label = {rec.descriptor.type_label: rec.norm for rec in report.records}
+        by_label = {rec.key.type_label: rec.norm for rec in report.records}
         assert abs(by_label["QT"] - 2.0) < 1e-9
         assert abs(by_label["R"] - 2.0) < 1e-9
         assert abs(report.max_norm - 2.0) < 1e-9
@@ -308,7 +316,7 @@ class TestEvaluateCriteria:
     def test_pair_with_spectator(self):
         report = evaluate_criteria(bell_pair_state(3, 2, 1, 2))
         for rec in report.records:
-            touched = set(rec.descriptor.key.heads) | set(rec.descriptor.key.tails)
+            touched = set(rec.key.heads) | set(rec.key.tails)
             if touched == {1, 2}:
                 assert rec.norm > 2.0 - 1e-9
             if touched == {3}:
@@ -397,8 +405,8 @@ class TestOrbitEvaluation:
 
     def test_matches_per_class_norms_on_detector_states(self):
         for r in (2, 3, 4):
-            for desc in enumerate_classes(r)[1:]:
-                self._cross_check(detector_state(desc, 2))
+            for key in enumerate_classes(r)[1:]:
+                self._cross_check(detector_state(key, 2))
 
     @staticmethod
     def _cross_check(rho):
@@ -407,7 +415,7 @@ class TestOrbitEvaluation:
             trace_norm(apply_permutation(rho, rec.representative)) for rec in report.records
         ]
         for rec, norm in zip(report.records, per_class):
-            assert _close(rec.norm, norm), rec.descriptor.key.render()
+            assert _close(rec.norm, norm), rec.key.render()
         verdict = "entangled" if max(per_class, default=0.0) > 1.0 + report.tolerance else "undetected"
         assert report.verdict == verdict
 
@@ -419,7 +427,7 @@ class TestOrbitEvaluation:
         # the r = 7 and 8 evaluations take too long for the suite, so count
         # the transpose pairs of keys, split by the decomposition they take
         for r, svds, eighs in ((6, 220, 31), (7, 826, 63), (8, 3171, 127)):
-            keys = [desc.key for desc in enumerate_classes(r)[1:]]
+            keys = enumerate_classes(r)[1:]
             pairs = {frozenset((key, _transpose_key(key))) for key in keys}
             loops = [pair for pair in pairs if next(iter(pair)).arrow_count == 0]
             assert (len(pairs) - len(loops), len(loops)) == (svds, eighs)
@@ -597,8 +605,8 @@ class TestStateFiles:
         )
         assert (tmp_path / "state.txt").read_bytes() == expected.encode("ascii")
 
-    # both routes compute 1j * inf, whose real part is 0 * inf
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    # the entries are the file's floats, viewed in place: no arithmetic warns
+    @pytest.mark.filterwarnings("error")
     @property_settings
     @given(st.data())
     def test_streamed_parse_matches_row_loop(self, tmp_path_factory, data):
@@ -613,6 +621,23 @@ class TestStateFiles:
             assert streamed[:2] == (r, d)
             assert streamed[2].tobytes() == m.tobytes()
         assert read_state_file(path, validate=False).entries.tobytes() == m.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_inf_imaginary_part_keeps_its_real_part(self, tmp_path):
+        # re + 1j * im would give nan + inf j, since 1j * inf has real part 0 * inf
+        path = tmp_path / "state.txt"
+        path.write_text("1 2\n0.5 inf 0 0\n0 0 0.5 0\n")
+        for entries in (read_state_file(path, validate=False).entries, _read_rows(path)[2]):
+            assert entries[0, 0].real == 0.5 and entries[0, 0].imag == math.inf
+        with pytest.raises(StateValidationError, match="non-finite entries: 0 NaN, 1 inf"):
+            read_state_file(path)
+
+    def test_signed_zeros_read_as_written(self, tmp_path):
+        path = tmp_path / "state.txt"
+        path.write_text("1 2\n0.5 0 -0.0 0.0\n-0.0 -0.0 0.5 0\n")
+        for entries in (read_state_file(path).entries, _read_rows(path)[2]):
+            assert np.signbit(entries.real).tolist() == [[False, True], [True, False]]
+            assert np.signbit(entries.imag).tolist() == [[False, False], [True, False]]
 
     @pytest.mark.parametrize(
         "text, message",
