@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -93,6 +94,10 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
 
 
 def _check_dims(r: int, d: int) -> int:
+    for name, value in (("subsystem count", r), ("local dimension", d)):
+        # a float would pass every check below and fail deep in an evaluation
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if r < 1:
         raise ValueError(f"subsystem count must be positive, got {r}")
     if d < 1:
@@ -105,12 +110,29 @@ def _check_dims(r: int, d: int) -> int:
     return dim
 
 
+def _entries_of(r: int, d: int, entries: np.ndarray) -> np.ndarray:
+    """entries checked against r and d, C-contiguous and read-only."""
+    dim = _check_dims(r, d)
+    if entries.shape != (dim, dim):
+        raise ValueError(
+            f"entries must be {dim}x{dim} for r={r}, d={d}; got {entries.shape}"
+        )
+    entries = np.ascontiguousarray(entries, dtype=np.complex128)
+    entries.setflags(write=False)
+    return entries
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A d^r x d^r complex operator with subsystem metadata.
 
     States satisfy the invariants checked by ``validate_state``; results
-    of index permutations reuse the same wrapper without them.
+    of index permutations reuse the same wrapper without them.  A state
+    owns one read-only, C-contiguous complex128 array.  The constructor
+    copies the array it is given, since the caller may still hold it;
+    the matrices the library builds itself (the state factories,
+    ``detector_state``, ``apply_permutation``, ``read_state_file``) are
+    adopted without a copy.
     """
 
     r: int
@@ -118,16 +140,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = _check_dims(self.r, self.d)
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"entries must be {dim}x{dim} for r={self.r}, d={self.d}; "
-                f"got {entries.shape}"
-            )
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        entries = np.array(self.entries, dtype=np.complex128, order="C")
+        object.__setattr__(self, "entries", _entries_of(self.r, self.d, entries))
 
     @property
     def dim(self) -> int:
@@ -155,7 +169,7 @@ class DensityMatrix:
         return out
 
     def validate_state(self) -> "DensityMatrix":
-        # the entries are a private read-only copy, so a passed check stays
+        # the state owns its read-only entries, so a passed check stays
         # passed: reading a file and then evaluating it validates once
         if self.__dict__.get("_valid"):
             return self
@@ -164,6 +178,17 @@ class DensityMatrix:
             raise StateValidationError("; ".join(violations))
         object.__setattr__(self, "_valid", True)
         return self
+
+
+def _adopt(r: int, d: int, entries: np.ndarray) -> DensityMatrix:
+    """A state that takes over a matrix the library has just built.
+
+    Runs the constructor's checks without its copy, so no one else may
+    hold entries, or the array it views, afterwards.
+    """
+    rho = object.__new__(DensityMatrix)
+    rho.__dict__.update(r=r, d=d, entries=_entries_of(r, d, entries))
+    return rho
 
 
 def _axis_of_point(point: int, r: int) -> int:
@@ -183,7 +208,10 @@ def apply_permutation(rho: DensityMatrix, sigma: Permutation) -> DensityMatrix:
 
     The output entry at subscripts (i1, ..., i_{2r}) equals the input
     entry at (i_{s(1)}, ..., i_{s(2r)}).  The map is linear, invertible,
-    and a pure relabeling, so it acts as a tensor transpose.
+    and a pure relabeling, so it acts as a tensor transpose.  The result
+    is a fresh array, except that a permutation that moves no entry (the
+    identity, or any permutation when d = 1) returns a view of rho's own
+    read-only array.
     """
     r, d = rho.r, rho.d
     if sigma.degree != 2 * r:
@@ -193,8 +221,7 @@ def apply_permutation(rho: DensityMatrix, sigma: Permutation) -> DensityMatrix:
         _axis_of_point(inv[_point_of_axis(m, r) - 1], r) for m in range(2 * r)
     ]
     tensor = rho.entries.reshape((d,) * (2 * r))
-    out = tensor.transpose(axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix(r, d, np.ascontiguousarray(out))
+    return _adopt(r, d, tensor.transpose(axes).reshape(rho.dim, rho.dim))
 
 
 def trace_norm(operator: DensityMatrix | np.ndarray) -> float:
@@ -263,7 +290,7 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
         index = index * d + x
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[index, index] = 1.0
-    return DensityMatrix(r, d, m).validate_state()
+    return _adopt(r, d, m).validate_state()
 
 
 def bell_pair_state(r: int, d: int, k: int, l: int) -> DensityMatrix:
@@ -274,7 +301,7 @@ def bell_pair_state(r: int, d: int, k: int, l: int) -> DensityMatrix:
     factors: list[tuple[tuple[int, ...], np.ndarray]] = [((k, l), _max_entangled_pair(d))]
     eye = np.eye(d, dtype=np.complex128) / d
     factors.extend(((j,), eye) for j in range(1, r + 1) if j not in (k, l))
-    return DensityMatrix(r, d, _product_of_factors(r, d, factors)).validate_state()
+    return _adopt(r, d, _product_of_factors(r, d, factors)).validate_state()
 
 
 def ghz_state(r: int, d: int) -> DensityMatrix:
@@ -284,12 +311,12 @@ def ghz_state(r: int, d: int) -> DensityMatrix:
     repunit = sum(d**j for j in range(r))  # linear index of |i ... i> is i * repunit
     for i in range(d):
         psi[i * repunit] = 1.0 / np.sqrt(d)
-    return DensityMatrix(r, d, np.outer(psi, psi.conj())).validate_state()
+    return _adopt(r, d, np.outer(psi, psi.conj())).validate_state()
 
 
 def maximally_mixed_state(r: int, d: int) -> DensityMatrix:
     dim = _check_dims(r, d)
-    return DensityMatrix(r, d, np.eye(dim, dtype=np.complex128) / dim)
+    return _adopt(r, d, np.eye(dim, dtype=np.complex128) / dim)
 
 
 def _random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -315,7 +342,7 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
         for _ in range(r):
             psi = np.kron(psi, _random_unit_vector(rng, d))
         m += w * np.outer(psi, psi.conj())
-    return DensityMatrix(r, d, m).validate_state()
+    return _adopt(r, d, m).validate_state()
 
 
 def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
@@ -324,7 +351,7 @@ def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(r, d, m / np.trace(m)).validate_state()
+    return _adopt(r, d, m / np.trace(m)).validate_state()
 
 
 STATE_KINDS = {
@@ -372,7 +399,7 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     factors = [(pair, entangled) for pair in pairs]
     eye = np.eye(d, dtype=np.complex128) / d
     factors.extend(((j,), eye) for j in range(1, r + 1) if j not in used)
-    return DensityMatrix(r, d, _product_of_factors(r, d, factors)).validate_state()
+    return _adopt(r, d, _product_of_factors(r, d, factors)).validate_state()
 
 
 # --- criterion evaluation -------------------------------------------------------
@@ -427,7 +454,7 @@ def evaluate_criteria(
     r, m = rho.r, rho.entries
     herm = rho
     if not np.array_equal(m, m.conj().T):
-        herm = DensityMatrix(r, rho.d, (m + m.conj().T) / 2)
+        herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
     norm_of: dict[CanonicalKey, float] = {}
     svds = eighs = 0
     records = []
@@ -472,7 +499,17 @@ def evaluate_criteria(
 # readers go through that view and every entry keeps the file's bits.
 
 
+def _check_file_guard(r: int, line: int | None = None) -> None:
+    # eval has no classes beyond the guard: the reader fails before reading
+    # the rows, and the writer before creating the file
+    if r > MAX_CLASS_R:
+        raise StateFileError(f"subsystem count {r} exceeds guard {MAX_CLASS_R}", line)
+
+
 def write_state_file(path, rho: DensityMatrix) -> None:
+    """Write rho in the text format; a state with r above the class guard
+    raises the reader's StateFileError, and no file is created."""
+    _check_file_guard(rho.r)
     row_format = " ".join(["%.16e"] * (2 * rho.dim)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rho.r} {rho.d}\n")
@@ -497,8 +534,7 @@ def _parse_header(number: int, line: str) -> tuple[int, int, int]:
         r, d = int(parts[0]), int(parts[1])
     except ValueError:
         raise StateFileError(f"header must be two integers, got {header!r}", number)
-    if r > MAX_CLASS_R:  # eval has no classes there; fail before reading the rows
-        raise StateFileError(f"subsystem count {r} exceeds guard {MAX_CLASS_R}", number)
+    _check_file_guard(r, number)
     try:
         dim = _check_dims(r, d)
     except ValueError as exc:
@@ -586,9 +622,7 @@ def read_state_file(path, validate: bool = True) -> DensityMatrix:
     if parsed is None:
         parsed = _read_rows(path)
         route = "row loop"
-    r, d, m = parsed
-    rho = DensityMatrix(r, d, m)
-    del parsed, m  # rho holds its own copy; free this one before validating
+    rho = _adopt(*parsed)
     seconds = time.perf_counter() - start
     try:
         if validate:
@@ -598,6 +632,6 @@ def read_state_file(path, validate: bool = True) -> DensityMatrix:
     finally:
         _log.debug(
             "read r=%d d=%d: %d rows in %.3f s, %s parse, %s positivity check",
-            r, d, rho.dim, seconds, route, rho.__dict__.get("_positivity", "no"),
+            rho.r, rho.d, rho.dim, seconds, route, rho.__dict__.get("_positivity", "no"),
         )
     return rho

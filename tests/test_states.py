@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from permsep import (
     DensityMatrix,
+    Permutation,
     StateFileError,
     StateValidationError,
     apply_permutation,
@@ -39,6 +40,7 @@ from permsep import (
     trace_norm,
     write_state_file,
 )
+from permsep import states
 from permsep.arrows import _transpose_key
 from permsep.states import EIGENVALUE_FLOOR, _read_rows, _read_streamed
 from conftest import (
@@ -223,6 +225,26 @@ class TestStateFactory:
         # d**r has too many digits to compute quickly or to print in the message
         with pytest.raises(ValueError, match="total dimension 2\\^1000000 exceeds guard"):
             maximally_mixed_state(10**6, 2)
+
+    @pytest.mark.parametrize("r, d, message", [
+        (2.0, 2, "subsystem count must be an integer, got 2.0"),
+        (True, 2, "subsystem count must be an integer, got True"),
+        (2, 2.0, "local dimension must be an integer, got 2.0"),
+        (2, "2", "local dimension must be an integer, got '2'"),
+    ])
+    def test_non_integer_dimensions_rejected(self, r, d, message):
+        # a float count used to build a state whose evaluation failed deep inside
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            DensityMatrix(r, d, np.eye(4) / 4)
+        for factory in (random_state, maximally_mixed_state, ghz_state):
+            with pytest.raises(TypeError, match=re.escape(message)):
+                factory(r, d)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        rho = random_state(np.int64(2), np.int32(2), seed=1)
+        want = evaluate_criteria(random_state(2, 2, seed=1))
+        assert evaluate_criteria(rho) == want
+        assert DensityMatrix(np.int8(1), np.uint16(2), np.eye(2) / 2).dim == 2
 
     def test_validation_diagnostics(self):
         bad_trace = np.eye(4, dtype=complex)
@@ -572,6 +594,12 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match="line 1: subsystem count 9 exceeds"):
             read_state_file(path)
 
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path):
+        path = tmp_path / "state.txt"
+        with pytest.raises(StateFileError, match="^subsystem count 9 exceeds guard 8$"):
+            write_state_file(path, maximally_mixed_state(9, 2))
+        assert not path.exists()
+
     def test_huge_r_rejected_before_exponentiating(self, tmp_path):
         path = tmp_path / "state.txt"
         path.write_text("1000000000 2\n")
@@ -711,6 +739,109 @@ class TestStateFiles:
         write_state_file(path, bell_pair_state(2, 2, 1, 2))
         read_state_file(path)
         assert not [rec for rec in caplog.records if rec.name == "permsep"]
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_owned(rho: DensityMatrix) -> None:
+    assert rho.entries.dtype == np.complex128
+    assert not rho.entries.flags.writeable
+    assert rho.entries.flags.c_contiguous
+
+
+class TestOwnership:
+    """A state owns one read-only, C-contiguous array; only the public
+    constructor copies."""
+
+    def test_constructor_copies_the_callers_array(self):
+        m = np.eye(4, dtype=np.complex128) / 4
+        rho = DensityMatrix(2, 2, m)
+        m[0, 0] = 7
+        assert rho.entries[0, 0] == 0.25
+        _assert_owned(rho)
+
+    def test_constructor_makes_fortran_and_real_input_c_contiguous(self):
+        rho = DensityMatrix(2, 2, np.asfortranarray(np.arange(16.0).reshape(4, 4)))
+        assert np.array_equal(rho.entries, np.arange(16.0).reshape(4, 4))
+        _assert_owned(rho)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("basis_product", {}), ("bell_pair_on", {"k": 1, "l": 3}), ("ghz", {}),
+        ("maximally_mixed", {}), ("random_separable", {}), ("random_state", {}),
+    ])
+    def test_factories(self, kind, params):
+        _assert_owned(make_state(kind, 3, 2, **params))
+
+    def test_detector_states(self):
+        for key in enumerate_classes(4):
+            if not key.is_trivial:
+                _assert_owned(detector_state(key, 2))
+
+    @pytest.mark.parametrize("r, d", [(1, 1), (2, 3), (3, 2)])
+    def test_apply_permutation(self, r, d):
+        rho = random_state(r, d, seed=1)
+        for sigma in itertools.permutations(range(1, 2 * r + 1)):
+            out = apply_permutation(rho, Permutation(sigma))
+            _assert_owned(out)
+            # only a map that moves no entry may share rho's array
+            assert np.shares_memory(out.entries, rho.entries) == (
+                d == 1 or list(sigma) == sorted(sigma)
+            )
+
+    def test_read_state_file_both_routes(self, tmp_path):
+        fast, slow = tmp_path / "fast.state", tmp_path / "slow.state"
+        write_state_file(fast, random_state(2, 2, seed=1))
+        slow.write_text("1 2\n0.5 0 0 0\n0 0 0.5 0_0\n")
+        assert _read_streamed(fast) is not None and _read_streamed(slow) is None
+        for path in (fast, slow):
+            for validate in (True, False):
+                _assert_owned(read_state_file(path, validate=validate))
+
+    def test_evaluation_peak_memory(self):
+        # the parent held each permuted matrix and its copy: 2.0x the matrix
+        m = random_state(2, 16, seed=5).entries
+        rho = DensityMatrix(2, 16, (m + m.conj().T) / 2).validate_state()
+        assert np.array_equal(rho.entries, rho.entries.conj().T)  # so no Hermitian part is built
+        assert _traced_peak(evaluate_criteria, rho) <= 1.5 * 16 * 256**2
+
+    def test_unvalidated_read_peak_memory(self, tmp_path):
+        # the parent held the parsed matrix and its copy: 2.0x the matrix
+        path = tmp_path / "state.txt"
+        write_state_file(path, random_state(8, 2, seed=2))
+        assert _traced_peak(read_state_file, path, validate=False) <= 1.5 * 16 * 256**2
+
+
+class TestBenchmarkHooks:
+    """perfbench's tracer and one-thread replay replace these two module
+    globals; evaluate_criteria must keep calling them by those names."""
+
+    def test_evaluation_calls_the_module_globals(self, monkeypatch):
+        applied, operands = [], []
+        apply, norm = states.apply_permutation, states.trace_norm
+
+        def counting_apply(rho, sigma):
+            applied.append(apply(rho, sigma))
+            return applied[-1]
+
+        def counting_norm(operator):
+            operands.append(operator)
+            return norm(operator)
+
+        monkeypatch.setattr(states, "apply_permutation", counting_apply)
+        monkeypatch.setattr(states, "trace_norm", counting_norm)
+        evaluate_criteria(random_state(6, 2, seed=1))
+        assert (len(applied), len(operands)) == (251, 220)
+        assert all(out.entries.shape == (64, 64) for out in applied)
+        # the tracer tells a trace norm's operator by identity
+        ids = {id(out) for out in applied}
+        assert all(id(op) in ids for op in operands)
 
 
 # float spellings that float() reads; loadtxt rejects only the digit separators
