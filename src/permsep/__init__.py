@@ -31,7 +31,6 @@ from .arrows import (
     prune,
 )
 from .normgroup import (
-    NormGroupElement,
     census_by_type,
     census_records,
     class_count,

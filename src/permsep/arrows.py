@@ -32,11 +32,13 @@ rewrite rules produce the normal form and the trace that explain the key.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, compose, cycle_decomposition, inverse
-from .perms import permutation_from_cycles, _cycles_of_images, _render_cycles
+from .perms import permutation_from_cycles, _cycles_of_images, _parity_kind
+from .perms import _render_cycles
 
 __all__ = [
     "Arrow",
@@ -160,7 +162,13 @@ class CanonicalKey:
     tails: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
+            raise TypeError(f"r must be an integer, got {self.r!r}")
+        if self.r < 1:
+            raise ValueError(f"r must be positive, got {self.r}")
         for name, seq in (("heads", self.heads), ("tails", self.tails)):
+            if not isinstance(seq, tuple):
+                raise TypeError(f"{name} must be a tuple, got {seq!r}")
             if list(seq) != sorted(set(seq)):
                 raise ValueError(f"{name} must be strictly sorted: {seq}")
             if seq and not (1 <= seq[0] and seq[-1] <= self.r):
@@ -342,6 +350,23 @@ def _arrows_of_sets(heads: Iterable[int], tails: Iterable[int]) -> list[tuple[in
     return [(k, k) for k in sorted(loops)] + list(zip(arrow_tails, arrow_heads))
 
 
+def _permutation_of_arrows(r: int, arrows: Iterable[tuple[int, int]]) -> Permutation:
+    """Product of the arrows' transpositions, composed in the given order."""
+    return permutation_from_cycles(
+        [_transposition_of_arrow(t, h) for t, h in arrows], 2 * r
+    )
+
+
+def _exchanged(
+    a: tuple[int, int], b: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
+    """The exchange-heads rule: (t1 -> h1, t2 -> h2) becomes
+    (t1 -> h2, t2 -> h1), realized by the norm-preserving right factor
+    (2*h1-1, 2*h2-1)(2*t1, 2*t2).  Returns both new arrows and the factor."""
+    (t1, h1), (t2, h2) = a, b
+    return (t1, h2), (t2, h1), ((2 * h1 - 1, 2 * h2 - 1), (2 * t1, 2 * t2))
+
+
 def _render_arrows(arrows: Iterable[tuple[int, int]]) -> str:
     items = sorted(arrows)
     if not items:
@@ -372,8 +397,7 @@ def _untangle(
             return work
         a, b = pick
         assert a != b and b[0] != b[1], "chain successor must be a non-loop arrow"
-        new_a = (a[0], b[1])
-        new_b = (b[0], a[1])
+        new_a, new_b, multiplier = _exchanged(a, b)
         work.remove(a)
         work.remove(b)
         work.extend([new_a, new_b])
@@ -386,7 +410,7 @@ def _untangle(
                         f"exchange heads of {_render_arrows([a])} "
                         f"and {_render_arrows([b])}"
                     ),
-                    multiplier=((2 * a[1] - 1, 2 * b[1] - 1), (2 * a[0], 2 * b[0])),
+                    multiplier=multiplier,
                     state=_render_arrows(work),
                 )
             )
@@ -509,10 +533,8 @@ def exchange_heads(
         raise ValueError("both arrows must belong to the configuration")
     if a == b:
         raise ValueError("cannot exchange an arrow with itself")
-    new = set(config.arrows) - {a, b}
-    new.add(Arrow(a.tail, b.head))
-    new.add(Arrow(b.tail, a.head))
-    return ArrowConfiguration(config.r, frozenset(new))
+    new_a, new_b, _ = _exchanged(a, b)
+    return _configuration(config.r, (set(config.arrows) - {a, b}) | {new_a, new_b})
 
 
 def flip(config: ArrowConfiguration) -> ArrowConfiguration:
@@ -538,10 +560,7 @@ def as_permutation(config: ArrowConfiguration) -> Permutation:
     For a disjoint configuration the order is irrelevant; chained but
     valid configurations compose in ascending tail order.
     """
-    transpositions = [
-        _transposition_of_arrow(a.tail, a.head) for a in config.sorted_arrows()
-    ]
-    return permutation_from_cycles(transpositions, 2 * config.r)
+    return _permutation_of_arrows(config.r, config.sorted_arrows())
 
 
 def normal_form(sigma: Permutation) -> ArrowConfiguration:
@@ -578,14 +597,12 @@ def _equivalence(
 ) -> tuple[CanonicalKey, CanonicalKey, Permutation, bool]:
     """(key of sigma, key of tau, witness tau^-1 * sigma, verdict); see
     ``equivalent``."""
-    from .normgroup import is_norm_preserving
-
     if sigma.degree != tau.degree:
         raise ValueError(f"degree mismatch: {sigma.degree} vs {tau.degree}")
     key1, key2 = canonical_key(sigma), canonical_key(tau)
     witness = compose(inverse(tau), sigma)
     same = key1 == key2
-    if same != is_norm_preserving(witness):
+    if same != (_parity_kind(witness.images) is not None):
         raise RuntimeError(
             "internal error: canonical keys and the parity membership test "
             f"disagree for {sigma} and {tau}"

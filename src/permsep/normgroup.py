@@ -14,12 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .perms import Permutation, global_transpose, identity, permutation_from_cycles
+from .perms import Permutation, global_transpose, identity, _parity_kind
 from .arrows import CanonicalKey, canonical_key, type_label
-from .arrows import _arrows_of_sets, _reduced_key, _transposition_of_arrow
+from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
 
 __all__ = [
-    "NormGroupElement",
     "is_norm_preserving",
     "classify",
     "generators",
@@ -36,39 +35,17 @@ MAX_GROUP_R = 5
 MAX_CLASS_R = 8
 
 
-def _parity_kind(images: tuple[int, ...]) -> str | None:
-    """"preserving", "swapping", or None when sigma mixes parities."""
-    first = (images[0] ^ 1) & 1
-    for point, img in enumerate(images, start=1):
-        if ((point ^ img) & 1) != first:
-            return None
-    return "preserving" if first == 0 else "swapping"
-
-
 def is_norm_preserving(sigma: Permutation) -> bool:
     """Parity membership test: every point keeps or every point swaps parity."""
     return _parity_kind(sigma.images) is not None
 
 
-@dataclass(frozen=True)
-class NormGroupElement:
-    """A norm-preserving permutation tagged with its parity behaviour."""
-
-    permutation: Permutation
-    parity_kind: str
-
-    def __post_init__(self) -> None:
-        if _parity_kind(self.permutation.images) != self.parity_kind:
-            raise ValueError(
-                f"{self.permutation} is not parity-{self.parity_kind}"
-            )
-
-
-def classify(sigma: Permutation) -> NormGroupElement:
+def classify(sigma: Permutation) -> str:
+    """"preserving" or "swapping"; ValueError when sigma is not norm-preserving."""
     kind = _parity_kind(sigma.images)
     if kind is None:
         raise ValueError(f"{sigma} is not norm-preserving")
-    return NormGroupElement(sigma, kind)
+    return kind
 
 
 def generators(r: int) -> list[Permutation]:
@@ -103,6 +80,8 @@ def _closure(r: int) -> frozenset[Permutation]:
 
 
 def _parity_filter(r: int) -> frozenset[Permutation]:
+    """The group by scanning all (2r)! permutations: the reference that the
+    selftest and the tests compare the closure with."""
     degree = 2 * r
     return frozenset(
         Permutation(images)
@@ -111,31 +90,12 @@ def _parity_filter(r: int) -> frozenset[Permutation]:
     )
 
 
-def group_elements(r: int, method: str = "auto") -> frozenset[Permutation]:
-    """All 2 * r! * r! norm-preserving permutations of degree 2r.
-
-    ``method`` is "closure" (breadth-first product closure of the
-    generators, r <= 5), "parity_filter" (scan the full symmetric group,
-    r <= 4), or "auto", which runs both where feasible and checks that
-    they coincide.
-    """
+def group_elements(r: int) -> frozenset[Permutation]:
+    """All 2 * r! * r! norm-preserving permutations of degree 2r: the
+    breadth-first product closure of the generators, r <= 5."""
     if not 1 <= r <= MAX_GROUP_R:
         raise ValueError(f"r must be in 1..{MAX_GROUP_R}, got {r}")
-    if method == "closure":
-        return _closure(r)
-    if method == "parity_filter":
-        if r > 4:
-            raise ValueError("parity_filter scans (2r)! permutations; r <= 4 only")
-        return _parity_filter(r)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     closure = _closure(r)
-    if r <= 4:
-        filtered = _parity_filter(r)
-        if closure != filtered:
-            raise RuntimeError(
-                "generator closure and parity filter disagree for r =" f" {r}"
-            )
     expected = 2 * math.factorial(r) ** 2
     if len(closure) != expected:
         raise RuntimeError(
@@ -178,10 +138,7 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
 def representative_permutation(key: CanonicalKey) -> Permutation:
     """Simplest permutation in the class: the transpositions of the key's
     loops and arrows, as ``arrows._arrows_of_sets`` pairs them."""
-    arrows = _arrows_of_sets(key.heads, key.tails)
-    perm = permutation_from_cycles(
-        [_transposition_of_arrow(t, h) for t, h in arrows], 2 * key.r
-    )
+    perm = _permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails))
     if canonical_key(perm) != key:
         raise RuntimeError(f"representative of {key.render()} fails to round-trip")
     return perm

@@ -95,6 +95,17 @@ def inverse(sigma: Permutation) -> Permutation:
     return Permutation(tuple(inv))
 
 
+def _parity_kind(images: Sequence[int]) -> str | None:
+    """"preserving", "swapping", or None when sigma mixes parities: the
+    norm-preserving permutations keep every row and column slot in its kind
+    or swap every one."""
+    first = (images[0] ^ 1) & 1
+    for point, img in enumerate(images, start=1):
+        if ((point ^ img) & 1) != first:
+            return None
+    return "preserving" if first == 0 else "swapping"
+
+
 def cycle_decomposition(sigma: Permutation) -> tuple[tuple[int, ...], ...]:
     """Disjoint cycles of sigma, each starting at its minimum point, sorted
     by that minimum.  Fixed points are omitted; the identity yields ()."""
@@ -178,8 +189,9 @@ def _skip_ws(text: str, i: int) -> int:
 
 
 def _parse_int(text: str, i: int) -> tuple[int, int]:
+    # ASCII digits only: str.isdigit also accepts '²', '٣' and '２'
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i] in "0123456789":
         i += 1
     if i == start:
         found = text[start] if start < len(text) else "end of input"

@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .perms import Permutation, compose, inverse, parse_permutation
+from .perms import Permutation, compose, inverse, parse_permutation, _parity_kind
 from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key
 from .normgroup import (
-    _parity_kind,
+    _parity_filter,
     census_by_type,
     enumerate_classes,
     group_elements,
@@ -90,8 +90,8 @@ def _check_group_order(seed: int) -> tuple[bool, str]:
     """Parity filter and generator closure coincide with sizes 8 / 72 / 1152."""
     sizes = {}
     for r in (2, 3, 4):
-        filtered = group_elements(r, method="parity_filter")
-        closed = group_elements(r, method="closure")
+        filtered = _parity_filter(r)
+        closed = group_elements(r)
         if filtered != closed:
             return False, f"constructions disagree at r={r}"
         sizes[r] = len(closed)
@@ -150,7 +150,7 @@ def _check_norm_preservation(seed: int) -> tuple[bool, str]:
         rng = np.random.default_rng(seed + r)
         operators = [_random_operator(rng, r, 2) for _ in range(20)]
         norms = [trace_norm(op) for op in operators]
-        for t in sorted(group_elements(r, method="closure"), key=lambda p: p.images):
+        for t in sorted(group_elements(r), key=lambda p: p.images):
             for op, norm in zip(operators, norms):
                 ratio = trace_norm(apply_permutation(op, t)) / norm
                 worst = max(worst, abs(ratio - 1.0))

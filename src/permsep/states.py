@@ -450,15 +450,16 @@ def evaluate_criteria(
     ``trace_norm``.  A negative or NaN tolerance raises ValueError.
     """
     _valid_tolerance(tolerance)
-    rho.validate_state()
     r, m = rho.r, rho.entries
+    keys = enumerate_classes(r)  # its guard on r fails before validation
+    rho.validate_state()
     herm = rho
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
     norm_of: dict[CanonicalKey, float] = {}
     svds = eighs = 0
     records = []
-    for key in enumerate_classes(r):
+    for key in keys:
         if key.is_trivial:
             continue
         rep = representative_permutation(key)

@@ -45,7 +45,7 @@ def parity_profile(p: Permutation) -> frozenset[frozenset[int]]:
 def coset_partition_bruteforce(r: int) -> dict[tuple[int, ...], int]:
     """Label every element of S_2r by its right coset, found by multiplying
     out the whole norm-preserving group.  Exponential; r <= 3 only."""
-    group = sorted(g.images for g in group_elements(r, method="closure"))
+    group = sorted(g.images for g in group_elements(r))
     label_of: dict[tuple[int, ...], int] = {}
     next_label = 0
     for images in itertools.permutations(range(1, 2 * r + 1)):

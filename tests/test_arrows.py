@@ -33,7 +33,7 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep.arrows import _flip_sets, _transpose_key, key_of_configuration
+from permsep.arrows import _exchanged, _flip_sets, _transpose_key, key_of_configuration
 from conftest import (
     coset_partition_bruteforce,
     parity_profile,
@@ -108,20 +108,21 @@ class TestExchangeHeads:
         assert out == config(3, (1, 3), (2, 1))
 
     def test_multiplier_is_norm_preserving_right_factor(self):
-        # sigma' = sigma * (2h1-1, 2h2-1)(2t1, 2t2) for every exchange
-        cases = [
-            (3, ((1, 2), (2, 3)), (1, 2), (2, 3)),
-            (2, ((1, 2), (2, 1)), (1, 2), (2, 1)),
-            (3, ((1, 1), (2, 3)), (1, 1), (2, 3)),
-        ]
-        for r, arrows, a, b in cases:
-            c = config(r, *arrows)
-            out = exchange_heads(c, Arrow(*a), Arrow(*b))
-            mult = permutation_from_cycles(
-                [(2 * a[1] - 1, 2 * b[1] - 1), (2 * a[0], 2 * b[0])], 2 * r
-            )
-            assert is_norm_preserving(mult)
-            assert compose(as_permutation(c), mult) == as_permutation(out)
+        # sigma' = sigma * (2h1-1, 2h2-1)(2t1, 2t2) for every ordered pair of
+        # distinct arrows of every valid configuration at r <= 3; an exchange
+        # keeps the head and tail sets, so every result is valid
+        checked = 0
+        for r in (1, 2, 3):
+            for c in _all_valid_configs(r):
+                for a, b in itertools.permutations(c.sorted_arrows(), 2):
+                    out = exchange_heads(c, a, b)
+                    cycles = ((2 * a.head - 1, 2 * b.head - 1), (2 * a.tail, 2 * b.tail))
+                    assert _exchanged(a, b)[2] == cycles  # what _untangle records
+                    mult = permutation_from_cycles(cycles, 2 * r)
+                    assert is_norm_preserving(mult)
+                    assert compose(as_permutation(c), mult) == as_permutation(out)
+                    checked += 1
+        assert checked == 76
 
     def test_requires_membership(self):
         c = config(3, (1, 2), (2, 3))
@@ -161,6 +162,15 @@ class TestFlip:
                 for heads in itertools.combinations(subsystems, k):
                     for tails in itertools.combinations(subsystems, k):
                         assert _flip_sets(r, heads, tails) != (heads, tails)
+
+
+def _all_valid_configs(r):
+    """Every partial bijection from tails to heads, loops included."""
+    subsystems = range(1, r + 1)
+    for k in range(r + 1):
+        for tails in itertools.combinations(subsystems, k):
+            for heads in itertools.permutations(subsystems, k):
+                yield config(r, *zip(tails, heads))
 
 
 def _all_disjoint_configs(r):
@@ -291,7 +301,7 @@ class TestCanonicalKey:
         for _ in range(500):
             r = int(rng.integers(1, 5))
             sigma = random_permutation(rng, 2 * r)
-            group = sorted(group_elements(r, method="closure"), key=lambda p: p.images)
+            group = sorted(group_elements(r), key=lambda p: p.images)
             t = group[int(rng.integers(len(group)))]
             assert canonical_key(sigma) == canonical_key(compose(sigma, t))
 
@@ -334,6 +344,20 @@ class TestCanonicalKey:
             CanonicalKey(3, (3, 1), (1, 3))
         with pytest.raises(ValueError, match="equal size"):
             CanonicalKey(3, (1,), (1, 2))
+
+    def test_constructor_names_a_bad_field(self):
+        # lists used to fail as "not flip-reduced", and r <= 0 was accepted
+        with pytest.raises(TypeError, match="heads must be a tuple"):
+            CanonicalKey(2, [1], (1,))
+        with pytest.raises(TypeError, match="tails must be a tuple"):
+            CanonicalKey(2, (1,), [1])
+        for bad in (2.0, "2", True, None):
+            with pytest.raises(TypeError, match="r must be an integer"):
+                CanonicalKey(bad, (), ())
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="r must be positive"):
+                CanonicalKey(bad, (), ())
+        assert CanonicalKey(np.int64(2), (1,), (1,)) == CanonicalKey(2, (1,), (1,))
 
 
 class TestClosedFormKey:
@@ -404,7 +428,7 @@ class TestEquivalent:
         from permsep import group_elements
 
         rng = np.random.default_rng(61)
-        group = sorted(group_elements(3, method="closure"), key=lambda p: p.images)
+        group = sorted(group_elements(3), key=lambda p: p.images)
         for _ in range(100):
             sigma = random_permutation(rng, 6)
             t = group[int(rng.integers(len(group)))]

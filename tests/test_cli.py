@@ -89,6 +89,12 @@ class TestCanon:
         assert result.exit_code == 3
         assert "out of range" in result.output
 
+    def test_non_ascii_digit_exit_3(self, runner):
+        for args in (("canon", "-r", "2", "(1,²)"), ("equiv", "-r", "2", "(1,2)", "(1,²)")):
+            result = invoke(runner, *args)
+            assert result.exit_code == 3
+            assert "expected a point, found '²' (at position 3)" in result.output
+
     def test_usage_error_exit_2(self, runner):
         assert invoke(runner, "canon").exit_code == 2
         assert invoke(runner, "canon", "-r", "9", "(1,2)").exit_code == 2

@@ -25,6 +25,7 @@ from permsep import (
     representative_permutation,
     type_label,
 )
+from permsep.normgroup import _parity_filter
 from conftest import random_permutation
 
 
@@ -47,8 +48,8 @@ class TestMembership:
             assert is_norm_preserving(p) == canonical_key(p).is_trivial
 
     def test_classify(self):
-        assert classify(parse_permutation("(1,3)", 4)).parity_kind == "preserving"
-        assert classify(global_transpose(4)).parity_kind == "swapping"
+        assert classify(parse_permutation("(1,3)", 4)) == "preserving"
+        assert classify(global_transpose(4)) == "swapping"
         with pytest.raises(ValueError, match="not norm-preserving"):
             classify(parse_permutation("(1,2)", 4))
 
@@ -60,17 +61,17 @@ class TestGroupElements:
 
     def test_constructions_coincide(self):
         for r in (1, 2, 3, 4):
-            assert group_elements(r, "parity_filter") == group_elements(r, "closure")
+            assert _parity_filter(r) == group_elements(r)
 
     def test_generators_are_members(self):
         for r in (2, 3, 4):
-            group = group_elements(r, "closure")
+            group = group_elements(r)
             for g in generators(r):
                 assert g in group
 
     def test_closed_under_composition_and_inverse(self):
         for r in (2, 3):
-            group = group_elements(r, "closure")
+            group = group_elements(r)
             for a in group:
                 assert inverse(a) in group
             for a in group:
@@ -79,7 +80,7 @@ class TestGroupElements:
 
     def test_closure_r4_exhaustive(self):
         # 1152^2 products; raw image tuples keep this under a second
-        group = group_elements(4, "closure")
+        group = group_elements(4)
         images = sorted(p.images for p in group)
         image_set = set(images)
         for a in group:
@@ -89,13 +90,11 @@ class TestGroupElements:
                 assert tuple(b[x - 1] for x in a) in image_set
 
     def test_r5_closure_order(self):
-        assert len(group_elements(5, "closure")) == 2 * math.factorial(5) ** 2
+        assert len(group_elements(5)) == 2 * math.factorial(5) ** 2
 
     def test_guards(self):
         with pytest.raises(ValueError, match="1..5"):
             group_elements(6)
-        with pytest.raises(ValueError, match="r <= 4"):
-            group_elements(5, "parity_filter")
 
 
 class TestEnumerateClasses:

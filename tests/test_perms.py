@@ -59,6 +59,15 @@ class TestParse:
             with pytest.raises(PermutationParseError):
                 parse_permutation(bad, 4)
 
+    def test_only_ascii_digits(self):
+        # str.isdigit accepts all four; int() rejects '²' and '³' and reads
+        # '٣' and '２' as 3 and 2
+        for text, pos in (("(1,²)", 3), ("(٣,2)", 1), ("(1,２)", 3), ("[1 2 ³ 4]", 5)):
+            message = f"expected a point, found {text[pos]!r}"
+            with pytest.raises(PermutationParseError, match=message) as info:
+                parse_permutation(text, 4)
+            assert info.value.position == pos
+
     def test_format_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -348,7 +348,7 @@ class TestEvaluateCriteria:
     def test_norm_constant_on_cosets(self):
         rng = np.random.default_rng(71)
         rho = random_state(2, 2, seed=8)
-        group = sorted(group_elements(2, "closure"), key=lambda p: p.images)
+        group = sorted(group_elements(2), key=lambda p: p.images)
         for _ in range(20):
             sigma = random_permutation(rng, 4)
             t = group[int(rng.integers(len(group)))]
@@ -363,7 +363,7 @@ class TestEvaluateCriteria:
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             op = DensityMatrix(r, 2, g)
             base = trace_norm(op)
-            for t in group_elements(r, "closure"):
+            for t in group_elements(r):
                 assert abs(trace_norm(apply_permutation(op, t)) / base - 1) < 1e-9
 
     def test_separable_states_stay_bounded(self):
@@ -372,6 +372,17 @@ class TestEvaluateCriteria:
             rho = random_separable_state(r, d, terms=1 + i % 10, seed=200 + i)
             report = evaluate_criteria(rho)
             assert report.verdict == "undetected"
+
+    def test_class_guard_before_validation(self, monkeypatch):
+        # r = 9 has no classes, so validating its 512 x 512 matrix is wasted
+        calls = []
+        check = DensityMatrix.state_violations
+        monkeypatch.setattr(
+            DensityMatrix, "state_violations", lambda rho: calls.append(rho) or check(rho)
+        )
+        with pytest.raises(ValueError, match=r"r must be in 1\.\.8, got 9"):
+            evaluate_criteria(maximally_mixed_state(9, 2))
+        assert calls == []
 
     def test_invalid_state_rejected(self):
         with pytest.raises(StateValidationError):
