@@ -32,13 +32,12 @@ rewrite rules produce the normal form and the trace that explain the key.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, compose, cycle_decomposition, inverse
 from .perms import permutation_from_cycles, _cycles_of_images, _parity_kind
-from .perms import _render_cycles
+from .perms import _check_integer, _render_cycles
 
 __all__ = [
     "Arrow",
@@ -162,8 +161,7 @@ class CanonicalKey:
     tails: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral):
-            raise TypeError(f"r must be an integer, got {self.r!r}")
+        _check_integer("r", self.r)
         if self.r < 1:
             raise ValueError(f"r must be positive, got {self.r}")
         for name, seq in (("heads", self.heads), ("tails", self.tails)):

@@ -14,7 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .perms import Permutation, global_transpose, identity, _parity_kind
+from .perms import Permutation, global_transpose, identity
+from .perms import _check_integer, _parity_kind
 from .arrows import CanonicalKey, canonical_key, type_label
 from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
 
@@ -50,6 +51,7 @@ def classify(sigma: Permutation) -> str:
 
 def generators(r: int) -> list[Permutation]:
     """Even-even transpositions, odd-odd transpositions, global transpose."""
+    _check_integer("r", r)
     degree = 2 * r
     gens: list[Permutation] = []
     for k in range(1, r + 1):
@@ -93,6 +95,7 @@ def _parity_filter(r: int) -> frozenset[Permutation]:
 def group_elements(r: int) -> frozenset[Permutation]:
     """All 2 * r! * r! norm-preserving permutations of degree 2r: the
     breadth-first product closure of the generators, r <= 5."""
+    _check_integer("r", r)
     if not 1 <= r <= MAX_GROUP_R:
         raise ValueError(f"r must be in 1..{MAX_GROUP_R}, got {r}")
     closure = _closure(r)
@@ -108,6 +111,7 @@ def group_elements(r: int) -> frozenset[Permutation]:
 
 
 def class_count(r: int) -> int:
+    _check_integer("r", r)
     return math.comb(2 * r, r) // 2
 
 
@@ -118,6 +122,7 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     permutations, keeps the flip-reduced member of each pair, and sorts by
     (#arrows + #loops, tails, heads).
     """
+    _check_integer("r", r)
     if not 1 <= r <= MAX_CLASS_R:
         raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {r}")
     subsystems = range(1, r + 1)

@@ -8,6 +8,7 @@ first.  Degrees are always even; point ``2k - 1`` is the row index and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +33,18 @@ class PermutationParseError(ValueError):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
+
+
+def _check_integer(name: str, value) -> None:
+    """TypeError naming the argument unless value is a non-bool integer.
+
+    A float would pass the range guards and fail deep inside, in range()
+    or an array shape, with a message that names nothing.
+    """
+    if type(value) is int:  # the ABC check below costs about 0.7 us a call
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +185,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     omit fixed points).  Unnamed points stay fixed.  "()" and the empty
     string both denote the identity.
     """
+    _check_integer("degree", degree)
     if degree < 2 or degree % 2 != 0:
         raise PermutationParseError(
             f"degree must be a positive even integer, got {degree}"

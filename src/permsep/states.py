@@ -14,15 +14,16 @@ most 1, so any value above 1 certifies entanglement.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import logging
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation, inverse
+from .perms import Permutation, inverse, _check_integer
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _flip_sets, _transpose_key
 
@@ -94,10 +95,8 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
 
 
 def _check_dims(r: int, d: int) -> int:
-    for name, value in (("subsystem count", r), ("local dimension", d)):
-        # a float would pass every check below and fail deep in an evaluation
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_integer("subsystem count", r)
+    _check_integer("local dimension", d)
     if r < 1:
         raise ValueError(f"subsystem count must be positive, got {r}")
     if d < 1:
@@ -431,6 +430,78 @@ def _valid_tolerance(tolerance: float) -> float:
     return tolerance
 
 
+# One OpenBLAS thread beats two on SVDs up to dim 361 (19^2) and loses from
+# dim 400 (20^2) on, measured on a 2-core host; no d^r lies in between.
+_ONE_THREAD_MAX_DIM = 361
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy's BLAS is not scipy-openblas or the symbols are missing.
+    Looked up on first use, so that importing permsep does not pay for it.
+    """
+    import ctypes
+    import glob
+    import os
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return None
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    libs = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*.so*"))
+    if blas != "scipy-openblas" or len(libs) != 1:
+        return None
+    try:
+        # numpy has loaded this file already, so dlopen returns numpy's copy
+        lib = ctypes.CDLL(libs[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _blas_threads_for(dim: int):
+    """Run the block on one OpenBLAS thread when dim <= _ONE_THREAD_MAX_DIM,
+    and restore the caller's count afterwards, errors included; larger dims,
+    and a BLAS that is not numpy's bundled OpenBLAS, keep the caller's count.
+    Yields the route, for the evaluation's debug record."""
+    threads = _openblas_threads() if dim <= _ONE_THREAD_MAX_DIM else None
+    if threads is None:
+        yield "blas threads unchanged"
+        return
+    get, set_ = threads
+    caller = get()
+    set_(1)
+    try:
+        yield "1 blas thread"
+    finally:
+        set_(caller)
+
+
+@functools.cache
+def _plan(r: int) -> tuple[tuple[CanonicalKey, Permutation, int | None], ...]:
+    """(key, representative, partner) of every nontrivial class at r, in
+    rank order.  partner is the index of the earlier entry whose class is
+    this one's global-transpose partner, or None when this entry is the
+    first of its pair and must be decomposed."""
+    index_of: dict[CanonicalKey, int] = {}
+    plan = []
+    for key in enumerate_classes(r):
+        if key.is_trivial:
+            continue
+        # look up before registering: a self-paired class has no earlier partner
+        partner = index_of.get(_transpose_key(key))
+        index_of[key] = len(plan)
+        plan.append((key, representative_permutation(key), partner))
+    return tuple(plan)
+
+
 def evaluate_criteria(
     rho: DensityMatrix, tolerance: float = VERDICT_TOLERANCE
 ) -> CriterionReport:
@@ -447,43 +518,50 @@ def evaluate_criteria(
     sigma and the class of (global transpose) * sigma have equal norms; one
     decomposition serves both.  Loop-only classes are partial transposes,
     Hermitian, and take the sum of absolute eigenvalues; the others take
-    ``trace_norm``.  A negative or NaN tolerance raises ValueError.
+    ``trace_norm``.  The classes, representatives and pairs of each r are
+    computed once per process.  A negative or NaN tolerance raises
+    ValueError.
+
+    Up to dim 361, the decompositions run on one thread of numpy's bundled
+    OpenBLAS, which is faster there than several.  That thread count is a
+    process-wide setting: it is changed for the duration of the call and
+    then restored, so another thread that runs BLAS meanwhile runs it on one
+    thread, and one that sets the count meanwhile may race with the restore.
     """
     _valid_tolerance(tolerance)
     r, m = rho.r, rho.entries
-    keys = enumerate_classes(r)  # its guard on r fails before validation
+    plan = _plan(r)  # enumerate_classes' guard on r fails before validation
     rho.validate_state()
     herm = rho
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
-    norm_of: dict[CanonicalKey, float] = {}
+    norms: list[float] = []
     svds = eighs = 0
-    records = []
-    for key in keys:
-        if key.is_trivial:
-            continue
-        rep = representative_permutation(key)
-        norm = norm_of.get(_transpose_key(key))
-        if norm is None:
-            if key.arrow_count == 0:
+    with _blas_threads_for(rho.dim) as threads:
+        for key, rep, partner in plan:
+            if partner is not None:
+                norm = norms[partner]
+            elif key.arrow_count == 0:
                 eigenvalues = np.linalg.eigvalsh(apply_permutation(herm, rep).entries)
                 norm = float(np.abs(eigenvalues).sum())
                 eighs += 1
             else:
                 norm = trace_norm(apply_permutation(herm, rep))
                 svds += 1
-        norm_of[key] = norm
-        records.append(ClassNorm(key, rep, norm))
-    max_norm = max((rec.norm for rec in records), default=0.0)
+            norms.append(norm)
+    records = tuple(
+        ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
+    )
+    max_norm = max(norms, default=0.0)
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
-        "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh",
-        r, rho.d, len(records), svds + eighs, svds, eighs,
+        "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, %s",
+        r, rho.d, len(records), svds + eighs, svds, eighs, threads,
     )
     return CriterionReport(
         r=r,
         d=rho.d,
-        records=tuple(records),
+        records=records,
         max_norm=max_norm,
         verdict=verdict,
         tolerance=tolerance,

@@ -96,6 +96,14 @@ class TestGroupElements:
         with pytest.raises(ValueError, match="1..5"):
             group_elements(6)
 
+    @pytest.mark.parametrize("r", [2.0, True, "2"])
+    def test_non_integer_r_named(self, r):
+        with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
+            group_elements(r)
+        with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
+            generators(r)
+        assert len(group_elements(np.int64(2))) == 8
+
 
 class TestEnumerateClasses:
     def test_counts(self):
@@ -126,6 +134,18 @@ class TestEnumerateClasses:
     def test_guard(self):
         with pytest.raises(ValueError, match="1..8"):
             enumerate_classes(9)
+
+    @pytest.mark.parametrize("r", [2.0, True, "2"])
+    def test_non_integer_r_named(self, r):
+        with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
+            enumerate_classes(r)
+        assert len(enumerate_classes(np.int64(2))) == 3
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, False])
+    def test_class_count_of_non_integer_r_named(self, r):
+        with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
+            class_count(r)
+        assert class_count(np.int64(3)) == 10
 
 
 class TestRepresentative:

@@ -54,6 +54,13 @@ class TestParse:
         with pytest.raises(PermutationParseError, match="even"):
             parse_permutation("(1,2)", 5)
 
+    @pytest.mark.parametrize("degree", [4.0, True, "4"])
+    def test_non_integer_degree_named(self, degree):
+        message = f"^degree must be an integer, got {degree!r}$"
+        with pytest.raises(TypeError, match=message):
+            parse_permutation("(1,2)", degree)
+        assert parse_permutation("(1,2)", np.int64(4)).images == (2, 1, 3, 4)
+
     def test_malformed_syntax(self):
         for bad in ["(1,2", "(1)", "1,2", "(1,,2)", "[1 2 3]", "[1 2 2 3]"]:
             with pytest.raises(PermutationParseError):

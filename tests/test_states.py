@@ -485,10 +485,16 @@ class TestOrbitEvaluation:
             evaluate_criteria(bell_pair_state(4, 2, 1, 3))
         records = [rec for rec in caplog.records if rec.name == "permsep"]
         assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
+        # both dims are small, so the route is one thread where it can be set
+        threads = "1 blas thread" if states._openblas_threads() else "blas threads unchanged"
         assert [rec.getMessage() for rec in records] == [
-            "evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh",
-            "evaluate r=4 d=2: 34 classes, 22 orbits, 15 svd, 7 eigvalsh",
+            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, {threads}",
+            f"evaluate r=4 d=2: 34 classes, 22 orbits, 15 svd, 7 eigvalsh, {threads}",
         ]
+
+    def test_repeat_evaluation_gives_equal_records(self):
+        rho = random_state(4, 2, seed=6)
+        assert evaluate_criteria(rho).records == evaluate_criteria(rho).records
 
     def test_silent_by_default(self, caplog):
         evaluate_criteria(bell_pair_state(2, 2, 1, 2))
@@ -847,12 +853,136 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(states, "apply_permutation", counting_apply)
         monkeypatch.setattr(states, "trace_norm", counting_norm)
-        evaluate_criteria(random_state(6, 2, seed=1))
-        assert (len(applied), len(operands)) == (251, 220)
-        assert all(out.entries.shape == (64, 64) for out in applied)
-        # the tracer tells a trace norm's operator by identity
-        ids = {id(out) for out in applied}
-        assert all(id(op) in ids for op in operands)
+        rho = random_state(6, 2, seed=1)
+        for _ in range(2):  # the second call reuses the cached class plan
+            applied.clear(), operands.clear()
+            evaluate_criteria(rho)
+            assert (len(applied), len(operands)) == (251, 220)
+            assert all(out.entries.shape == (64, 64) for out in applied)
+            # the tracer tells a trace norm's operator by identity
+            ids = {id(out) for out in applied}
+            assert all(id(op) in ids for op in operands)
+
+
+openblas = pytest.mark.skipif(
+    states._openblas_threads() is None, reason="numpy's BLAS is not its bundled OpenBLAS"
+)
+
+
+class TestBlasThreads:
+    """evaluate_criteria runs small decompositions on one OpenBLAS thread
+    and gives the caller's thread count back, errors included."""
+
+    @staticmethod
+    def _record_threads(monkeypatch) -> list[int]:
+        get, _ = states._openblas_threads()
+        seen, norm = [], states.trace_norm
+
+        def recording_norm(operator):
+            seen.append(get())
+            return norm(operator)
+
+        monkeypatch.setattr(states, "trace_norm", recording_norm)
+        return seen
+
+    @openblas
+    @pytest.mark.parametrize(
+        "make, inside",
+        [(lambda: random_state(3, 2, seed=1), 1), (lambda: random_state(2, 20, seed=1), 2)],
+        ids=["dim-8", "dim-400"],
+    )
+    def test_caller_count_restored(self, monkeypatch, make, inside):
+        get, set_ = states._openblas_threads()
+        caller = get()
+        rho = make()
+        seen = self._record_threads(monkeypatch)
+        try:
+            set_(2)
+            evaluate_criteria(rho)
+            assert get() == 2
+            assert seen and set(seen) == {inside}  # a large dim keeps the caller's 2
+        finally:
+            set_(caller)
+
+    @openblas
+    def test_caller_count_restored_on_error(self, monkeypatch):
+        get, set_ = states._openblas_threads()
+        caller = get()
+
+        def failing_norm(operator):
+            raise RuntimeError("decomposition failed")
+
+        monkeypatch.setattr(states, "trace_norm", failing_norm)
+        try:
+            set_(2)
+            with pytest.raises(RuntimeError, match="decomposition failed"):
+                evaluate_criteria(random_state(3, 2, seed=1))
+            assert get() == 2
+        finally:
+            set_(caller)
+
+    def test_missing_symbols_change_nothing(self, monkeypatch, caplog):
+        # without the symbols, every norm is the per-class route's, bit for bit
+        monkeypatch.setattr(states, "_openblas_threads", lambda: None)
+        rho = random_state(4, 2, seed=2)
+        assert np.array_equal(rho.entries, rho.entries.conj().T)  # norms are rho's own
+        with caplog.at_level(logging.DEBUG, logger="permsep"):
+            report = evaluate_criteria(rho)
+        (record,) = [rec for rec in caplog.records if rec.name == "permsep"]
+        assert record.getMessage().endswith(", blas threads unchanged")
+        for rec, (_, _, partner) in zip(report.records, states._plan(4)):
+            if partner is not None:
+                assert rec.norm == report.records[partner].norm
+                continue
+            permuted = apply_permutation(rho, rec.representative).entries
+            if rec.key.arrow_count == 0:
+                assert rec.norm == float(np.abs(np.linalg.eigvalsh(permuted)).sum())
+            else:
+                assert rec.norm == trace_norm(permuted)
+
+    @openblas
+    def test_one_thread_norms_at_dim_128(self, monkeypatch):
+        rho = random_state(7, 2, seed=3)
+        # every 150th class of r = 7, each decomposed, keeps the test short
+        some = tuple((key, rep, None) for key, rep, _ in states._plan(7)[::150])
+        assert any(key.arrow_count == 0 for key, _, _ in some)
+        monkeypatch.setattr(states, "_plan", lambda r: some)
+        seen = self._record_threads(monkeypatch)
+        report = evaluate_criteria(rho)
+        assert seen and set(seen) == {1}
+        assert [rec.key for rec in report.records] == [key for key, _, _ in some]
+        for rec in report.records:
+            want = trace_norm(apply_permutation(rho, rec.representative))
+            assert abs(rec.norm - want) <= 1e-12
+
+
+class TestPlan:
+    def test_partners_point_back_to_the_transpose_class(self):
+        for r in (1, 2, 3, 4, 5):
+            plan = states._plan(r)
+            assert [key for key, _, _ in plan] == enumerate_classes(r)[1:]
+            for i, (key, rep, partner) in enumerate(plan):
+                assert rep == representative_permutation(key)
+                partner_key = _transpose_key(key)
+                earlier = [j for j in range(i) if plan[j][0] == partner_key]
+                assert partner == (earlier[0] if earlier else None)
+                if partner_key == key:
+                    assert partner is None
+
+    def test_computed_once_per_r(self, monkeypatch):
+        calls = []
+        enumerate_all = states.enumerate_classes
+        monkeypatch.setattr(
+            states, "enumerate_classes", lambda r: calls.append(r) or enumerate_all(r)
+        )
+        states._plan.cache_clear()
+        try:
+            rho = random_state(3, 2, seed=1)
+            evaluate_criteria(rho)
+            evaluate_criteria(rho)
+            assert calls == [3]
+        finally:
+            states._plan.cache_clear()
 
 
 # float spellings that float() reads; loadtxt rejects only the digit separators
