@@ -54,7 +54,6 @@ from .states import (
     detector_state,
     evaluate_criteria,
     ghz_state,
-    make_state,
     maximally_mixed_state,
     random_separable_state,
     random_state,

@@ -18,8 +18,6 @@ from .normgroup import (
     representative_permutation,
 )
 from .states import (
-    StateFileError,
-    StateValidationError,
     evaluate_criteria,
     read_state_file,
     VERDICT_TOLERANCE,
@@ -218,7 +216,7 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
     try:
         rho = read_state_file(state_file)
         report = evaluate_criteria(rho, tolerance=tolerance)
-    except (StateFileError, StateValidationError, ValueError) as exc:
+    except ValueError as exc:  # StateFileError and StateValidationError too
         _fail_data(str(exc))
     ranked = sorted(report.records, key=lambda rec: (-rec.norm, rec.key.rank))
     if fmt == "csv":

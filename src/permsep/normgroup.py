@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .perms import Permutation, global_transpose, identity
+from .perms import Permutation, global_transpose, identity, permutation_from_cycles
 from .perms import _check_integer, _parity_kind
 from .arrows import CanonicalKey, canonical_key, type_label
 from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
@@ -56,10 +56,8 @@ def generators(r: int) -> list[Permutation]:
     gens: list[Permutation] = []
     for k in range(1, r + 1):
         for l in range(k + 1, r + 1):
-            for a, b in ((2 * k, 2 * l), (2 * k - 1, 2 * l - 1)):
-                images = list(range(1, degree + 1))
-                images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-                gens.append(Permutation(tuple(images)))
+            for cycle in ((2 * k, 2 * l), (2 * k - 1, 2 * l - 1)):
+                gens.append(permutation_from_cycles([cycle], degree))
     gens.append(global_transpose(degree))
     return gens
 

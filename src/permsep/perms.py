@@ -54,6 +54,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # a list would compare unequal to the same tuple and not hash
+        if type(self.images) is not tuple:
+            raise TypeError(f"images must be a tuple, got {self.images!r}")
         n = len(self.images)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"degree must be even and >= 2, got {n}")
@@ -87,10 +90,7 @@ def identity(degree: int) -> Permutation:
 
 def global_transpose(degree: int) -> Permutation:
     """The full-transpose permutation (1,2)(3,4)...(2r-1,2r)."""
-    images = list(range(1, degree + 1))
-    for k in range(0, degree, 2):
-        images[k], images[k + 1] = images[k + 1], images[k]
-    return Permutation(tuple(images))
+    return permutation_from_cycles([(k, k + 1) for k in range(1, degree, 2)], degree)
 
 
 def compose(first: Permutation, second: Permutation) -> Permutation:

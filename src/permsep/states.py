@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation, inverse, _check_integer
+from .perms import Permutation, _check_integer
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
-from .arrows import CanonicalKey, _arrows_of_sets, _flip_sets, _transpose_key
+from .arrows import CanonicalKey, _arrows_of_sets, _transpose_key
 
 __all__ = [
     "MAX_DIM",
@@ -36,7 +36,6 @@ __all__ = [
     "apply_permutation",
     "trace_norm",
     "swap_operator",
-    "make_state",
     "basis_product_state",
     "bell_pair_state",
     "ghz_state",
@@ -121,7 +120,7 @@ def _entries_of(r: int, d: int, entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A d^r x d^r complex operator with subsystem metadata.
 
@@ -131,7 +130,8 @@ class DensityMatrix:
     copies the array it is given, since the caller may still hold it;
     the matrices the library builds itself (the state factories,
     ``detector_state``, ``apply_permutation``, ``read_state_file``) are
-    adopted without a copy.
+    adopted without a copy.  States compare and hash by identity: compare
+    their ``entries`` to compare matrices.
     """
 
     r: int
@@ -198,10 +198,6 @@ def _axis_of_point(point: int, r: int) -> int:
     return r + point // 2 - 1
 
 
-def _point_of_axis(axis: int, r: int) -> int:
-    return 2 * axis + 1 if axis < r else 2 * (axis - r) + 2
-
-
 def apply_permutation(rho: DensityMatrix, sigma: Permutation) -> DensityMatrix:
     """Relabel the 2r matrix subscripts of rho by sigma.
 
@@ -215,10 +211,10 @@ def apply_permutation(rho: DensityMatrix, sigma: Permutation) -> DensityMatrix:
     r, d = rho.r, rho.d
     if sigma.degree != 2 * r:
         raise ValueError(f"permutation degree {sigma.degree} != 2r = {2 * r}")
-    inv = inverse(sigma).images
-    axes = [
-        _axis_of_point(inv[_point_of_axis(m, r) - 1], r) for m in range(2 * r)
-    ]
+    # input subscript p carries the output subscript s(p)
+    axes = [0] * (2 * r)
+    for point, image in enumerate(sigma.images, start=1):
+        axes[_axis_of_point(image, r)] = _axis_of_point(point, r)
     tensor = rho.entries.reshape((d,) * (2 * r))
     return _adopt(r, d, tensor.transpose(axes).reshape(rho.dim, rho.dim))
 
@@ -231,11 +227,17 @@ def trace_norm(operator: DensityMatrix | np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def _check_pair(r: int, k: int, l: int) -> None:
+    _check_integer("k", k)
+    _check_integer("l", l)
+    if not (1 <= k < l <= r):
+        raise ValueError(f"need 1 <= k < l <= r, got k={k}, l={l}, r={r}")
+
+
 def swap_operator(r: int, d: int, k: int, l: int) -> np.ndarray:
     """Unitary permutation matrix exchanging subsystems k and l."""
     dim = _check_dims(r, d)
-    if not (1 <= k < l <= r):
-        raise ValueError(f"need 1 <= k < l <= r, got k={k}, l={l}, r={r}")
+    _check_pair(r, k, l)
     swapped = (
         np.arange(dim).reshape((d,) * r).swapaxes(k - 1, l - 1).reshape(dim)
     )
@@ -247,34 +249,28 @@ def swap_operator(r: int, d: int, k: int, l: int) -> np.ndarray:
 # --- state factory ------------------------------------------------------------
 
 
-def _reorder_subsystems(
-    matrix: np.ndarray, order: list[int], r: int, d: int
-) -> np.ndarray:
-    """Permute the subsystem slots of a matrix whose rows and columns are
-    multi-indexed in the given subsystem order into ascending order."""
-    axes = [order.index(j + 1) for j in range(r)]
-    tensor = matrix.reshape((d,) * (2 * r))
-    out = tensor.transpose(axes + [r + a for a in axes])
-    return out.reshape(d**r, d**r)
-
-
-def _product_of_factors(
-    r: int, d: int, factors: list[tuple[tuple[int, ...], np.ndarray]]
-) -> np.ndarray:
-    """Tensor product of operators sitting on disjoint subsystem groups."""
-    order = [k for subsystems, _ in factors for k in subsystems]
-    if sorted(order) != list(range(1, r + 1)):
-        raise ValueError(f"factors must cover each subsystem once, got {order}")
-    matrix = factors[0][1]
-    for _, block in factors[1:]:
-        matrix = np.kron(matrix, block)
-    return _reorder_subsystems(matrix, order, r, d)
-
-
-def _max_entangled_pair(d: int) -> np.ndarray:
-    psi = np.zeros(d * d, dtype=np.complex128)
-    psi[:: d + 1] = 1.0 / np.sqrt(d)
+def _ghz_matrix(r: int, d: int) -> np.ndarray:
+    """|psi><psi| for psi the uniform superposition of |i i ... i>."""
+    psi = np.zeros(d**r, dtype=np.complex128)
+    repunit = sum(d**j for j in range(r))  # linear index of |i ... i> is i * repunit
+    for i in range(d):
+        psi[i * repunit] = 1.0 / np.sqrt(d)
     return np.outer(psi, psi.conj())
+
+
+def _pairs_state(r: int, d: int, pairs: list[tuple[int, int]]) -> DensityMatrix:
+    """A maximally entangled pair on each of the disjoint subsystem pairs,
+    maximally mixed elsewhere."""
+    used = {k for pair in pairs for k in pair}
+    rest = [j for j in range(1, r + 1) if j not in used]
+    entangled = _ghz_matrix(2, d)
+    eye = np.eye(d, dtype=np.complex128) / d
+    blocks = [entangled] * len(pairs) + [eye] * len(rest)
+    matrix = functools.reduce(np.kron, blocks)
+    # slot i of the product carries subsystem order[i - 1]
+    order = [k for pair in pairs for k in pair] + rest
+    images = tuple(p for k in order for p in (2 * k - 1, 2 * k))
+    return apply_permutation(_adopt(r, d, matrix), Permutation(images)).validate_state()
 
 
 def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -> DensityMatrix:
@@ -282,6 +278,8 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
     dim = _check_dims(r, d)
     if levels is None:
         levels = (0,) * r
+    for x in levels:
+        _check_integer("level", x)
     if len(levels) != r or not all(0 <= x < d for x in levels):
         raise ValueError(f"levels must be r={r} integers in 0..{d - 1}, got {levels}")
     index = 0
@@ -295,22 +293,14 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
 def bell_pair_state(r: int, d: int, k: int, l: int) -> DensityMatrix:
     """Maximally entangled pair on subsystems (k, l), maximally mixed rest."""
     _check_dims(r, d)
-    if not (1 <= k < l <= r):
-        raise ValueError(f"need 1 <= k < l <= r, got k={k}, l={l}, r={r}")
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = [((k, l), _max_entangled_pair(d))]
-    eye = np.eye(d, dtype=np.complex128) / d
-    factors.extend(((j,), eye) for j in range(1, r + 1) if j not in (k, l))
-    return _adopt(r, d, _product_of_factors(r, d, factors)).validate_state()
+    _check_pair(r, k, l)
+    return _pairs_state(r, d, [(k, l)])
 
 
 def ghz_state(r: int, d: int) -> DensityMatrix:
     """Pure superposition of |i i ... i> over all levels i."""
-    dim = _check_dims(r, d)
-    psi = np.zeros(dim, dtype=np.complex128)
-    repunit = sum(d**j for j in range(r))  # linear index of |i ... i> is i * repunit
-    for i in range(d):
-        psi[i * repunit] = 1.0 / np.sqrt(d)
-    return _adopt(r, d, np.outer(psi, psi.conj())).validate_state()
+    _check_dims(r, d)
+    return _adopt(r, d, _ghz_matrix(r, d)).validate_state()
 
 
 def maximally_mixed_state(r: int, d: int) -> DensityMatrix:
@@ -353,32 +343,13 @@ def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
     return _adopt(r, d, m / np.trace(m)).validate_state()
 
 
-STATE_KINDS = {
-    "basis_product": basis_product_state,
-    "bell_pair_on": bell_pair_state,
-    "ghz": ghz_state,
-    "maximally_mixed": maximally_mixed_state,
-    "random_separable": random_separable_state,
-    "random_state": random_state,
-}
-
-
-def make_state(kind: str, r: int, d: int, **params) -> DensityMatrix:
-    """Dispatch to the state factories by kind name."""
-    if kind not in STATE_KINDS:
-        kinds = tuple(STATE_KINDS)
-        raise ValueError(f"unknown state kind {kind!r}; choose from {kinds}")
-    return STATE_KINDS[kind](r, d, **params)
-
-
 def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     """A state whose criterion value for this class is d^(arrows + loops).
 
     Places a maximally entangled pair across each arrow and across each
-    (loop, free subsystem) pairing, maximally mixed elsewhere.  Reduced
-    representatives always have at least as many free subsystems as
-    loops; if a raw key does not, its flip does, and both sides of a flip
-    give equal criterion values.
+    (loop, free subsystem) pairing, maximally mixed elsewhere.  A key is
+    flip-reduced, so it has at most r/2 heads, and its free subsystems
+    number its loops plus r - 2 * heads: every loop has a free partner.
     """
     if key.is_trivial:
         raise ValueError("the trivial class detects nothing")
@@ -386,19 +357,11 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
         raise ValueError(f"local dimension must be at least 2, got {d}")
     r = key.r
     _check_dims(r, d)
-    heads, tails = key.heads, key.tails
-    if key.loop_count > r - len(set(heads) | set(tails)):
-        heads, tails = _flip_sets(r, heads, tails)
-    arrows = _arrows_of_sets(heads, tails)
+    arrows = _arrows_of_sets(key.heads, key.tails)
     loops = [t for t, h in arrows if t == h]
-    free = sorted(set(range(1, r + 1)) - set(heads) - set(tails))
+    free = sorted(set(range(1, r + 1)) - set(key.heads) - set(key.tails))
     pairs = [(t, h) for t, h in arrows if t != h] + list(zip(loops, free))
-    used = {k for pair in pairs for k in pair}
-    entangled = _max_entangled_pair(d)
-    factors = [(pair, entangled) for pair in pairs]
-    eye = np.eye(d, dtype=np.complex128) / d
-    factors.extend(((j,), eye) for j in range(1, r + 1) if j not in used)
-    return _adopt(r, d, _product_of_factors(r, d, factors)).validate_state()
+    return _pairs_state(r, d, pairs)
 
 
 # --- criterion evaluation -------------------------------------------------------

@@ -97,6 +97,13 @@ class TestInvariants:
         with pytest.raises(ValueError, match="even"):
             Permutation((2, 3, 1))
 
+    def test_images_must_be_a_tuple(self):
+        # a list would compare unequal to the same tuple and not hash
+        with pytest.raises(TypeError, match=r"^images must be a tuple, got \[2, 1, 3, 4\]$"):
+            Permutation([2, 1, 3, 4])
+        with pytest.raises(TypeError, match="images must be a tuple"):
+            Permutation(range(1, 5))
+
 
 class TestCompose:
     def test_identity_neutral(self):

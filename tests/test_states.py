@@ -28,7 +28,6 @@ from permsep import (
     global_transpose,
     group_elements,
     identity,
-    make_state,
     maximally_mixed_state,
     parse_permutation,
     permutation_from_cycles,
@@ -182,11 +181,36 @@ class TestStateFactory:
         assert np.allclose(rho.entries, want, atol=0)
 
     def test_bell_pair_nonadjacent_matches_swapped(self):
-        # moving the pair from (1,2) to (1,3) is conjugation by the 2<->3 swap
-        direct = bell_pair_state(3, 2, 1, 3)
-        base = bell_pair_state(3, 2, 1, 2)
-        v = swap_operator(3, 2, 2, 3)
-        assert np.allclose(direct.entries, v @ base.entries @ v, atol=1e-12)
+        # moving the pair from (1,2) to (k,l) is conjugation by the 2<->l
+        # swap, then the 1<->k swap; swap_operator does not use
+        # apply_permutation, so it is an independent reference
+        for r, d in itertools.product((3, 4), (2, 3)):
+            base = bell_pair_state(r, d, 1, 2).entries
+            for k, l in itertools.combinations(range(1, r + 1), 2):
+                want = base
+                for a, b in ((2, l), (1, k)):
+                    if a != b:
+                        v = swap_operator(r, d, a, b)
+                        want = v @ want @ v
+                assert np.array_equal(bell_pair_state(r, d, k, l).entries, want), (r, d, k, l)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: swap_operator(2, 2, 1.5, 2), "k must be an integer, got 1.5"),
+        (lambda: swap_operator(2, 2, 1, 2.0), "l must be an integer, got 2.0"),
+        (lambda: bell_pair_state(2, 2, True, 2), "k must be an integer, got True"),
+        (lambda: bell_pair_state(2, 2, 1, 2.0), "l must be an integer, got 2.0"),
+        (lambda: basis_product_state(2, 2, levels=(0.5, 0)), "level must be an integer, got 0.5"),
+    ])
+    def test_non_integer_subsystems_and_levels_rejected(self, call, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integer_subsystems_and_levels_accepted(self):
+        assert np.array_equal(
+            bell_pair_state(3, 2, np.int64(1), np.int32(3)).entries,
+            bell_pair_state(3, 2, 1, 3).entries,
+        )
+        assert basis_product_state(2, 2, levels=(np.int8(1), 0)).entries[2, 2] == 1.0
 
     def test_ghz(self):
         rho = ghz_state(3, 2)
@@ -204,18 +228,6 @@ class TestStateFactory:
         c = random_separable_state(2, 2, terms=5, seed=100)
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
-
-    def test_make_state_dispatch(self):
-        assert np.array_equal(
-            make_state("maximally_mixed", 2, 2).entries,
-            maximally_mixed_state(2, 2).entries,
-        )
-        assert np.array_equal(
-            make_state("bell_pair_on", 2, 2, k=1, l=2).entries,
-            bell_pair_state(2, 2, 1, 2).entries,
-        )
-        with pytest.raises(ValueError, match="unknown state kind"):
-            make_state("thermal", 2, 2)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="exceeds guard"):
@@ -311,6 +323,17 @@ class TestDetectorStates:
         trivial = next(k for k in enumerate_classes(2) if k.is_trivial)
         with pytest.raises(ValueError, match="trivial"):
             detector_state(trivial, 2)
+
+    def test_every_loop_has_a_free_partner(self):
+        # detector_state pairs each loop with a free subsystem; flip
+        # reduction keeps heads <= r/2, so free - loops = r - 2 * heads >= 0
+        count = 0
+        for r in range(1, 9):
+            for key in enumerate_classes(r):
+                free = r - len(set(key.heads) | set(key.tails))
+                assert key.loop_count <= free, key
+                count += 1
+        assert count == 8788
 
 
 class TestEvaluateCriteria:
@@ -789,12 +812,21 @@ class TestOwnership:
         assert np.array_equal(rho.entries, np.arange(16.0).reshape(4, 4))
         _assert_owned(rho)
 
-    @pytest.mark.parametrize("kind, params", [
-        ("basis_product", {}), ("bell_pair_on", {"k": 1, "l": 3}), ("ghz", {}),
-        ("maximally_mixed", {}), ("random_separable", {}), ("random_state", {}),
+    @pytest.mark.parametrize("factory, params", [
+        (basis_product_state, {}), (bell_pair_state, {"k": 1, "l": 3}), (ghz_state, {}),
+        (maximally_mixed_state, {}), (random_separable_state, {}), (random_state, {}),
+    ], ids=[
+        "basis_product-params0", "bell_pair_on-params1", "ghz-params2",
+        "maximally_mixed-params3", "random_separable-params4", "random_state-params5",
     ])
-    def test_factories(self, kind, params):
-        _assert_owned(make_state(kind, 3, 2, **params))
+    def test_factories(self, factory, params):
+        _assert_owned(factory(3, 2, **params))
+
+    def test_states_compare_and_hash_by_identity(self):
+        a, b = random_state(2, 2, seed=1), random_state(2, 2, seed=1)
+        assert a == a and a != b
+        assert np.array_equal(a.entries, b.entries)
+        assert len({a, b, a}) == 2
 
     def test_detector_states(self):
         for key in enumerate_classes(4):
