@@ -167,6 +167,8 @@ class CanonicalKey:
         for name, seq in (("heads", self.heads), ("tails", self.tails)):
             if not isinstance(seq, tuple):
                 raise TypeError(f"{name} must be a tuple, got {seq!r}")
+            for k in seq:
+                _check_integer(f"{name} entry", k)
             if list(seq) != sorted(set(seq)):
                 raise ValueError(f"{name} must be strictly sorted: {seq}")
             if seq and not (1 <= seq[0] and seq[-1] <= self.r):

@@ -9,6 +9,7 @@ first.  Degrees are always even; point ``2k - 1`` is the row index and
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -60,8 +61,14 @@ class Permutation:
         n = len(self.images)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"degree must be even and >= 2, got {n}")
-        if sorted(self.images) != list(range(1, n + 1)):
+        ordered = sorted(self.images)
+        if ordered != list(range(1, n + 1)):
             raise ValueError(f"images are not a bijection of 1..{n}: {self.images!r}")
+        # 2.0 or True equals a point; a sum of ints is an int, and True can
+        # only stand in for 1, so all-int images pay no per-entry check
+        if type(sum(self.images)) is not int or ordered[0] is True:
+            for image in self.images:
+                _check_integer("images entry", image)
 
     @property
     def degree(self) -> int:
@@ -76,9 +83,6 @@ class Permutation:
         if not 1 <= point <= len(self.images):
             raise ValueError(f"point {point} out of range 1..{len(self.images)}")
         return self.images[point - 1]
-
-    def is_identity(self) -> bool:
-        return all(img == k + 1 for k, img in enumerate(self.images))
 
     def __str__(self) -> str:
         return _render_cycles(_cycles_of_images(self.images))
@@ -177,104 +181,93 @@ def permutation_from_cycles(
 
 # --- parsing ---------------------------------------------------------------
 
+# A point is a run of ASCII digits (\d would also take '²', '٣' and '２');
+# every other non-blank character is a token of its own.
+_TOKEN = re.compile(r"[0-9]+|\S")
+
 
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse cycle notation "(a,b,...)(c,d,...)" or one-line "[p1 p2 ... pn]".
 
     ``degree`` is explicit and never inferred from the text (cycle strings
     omit fixed points).  Unnamed points stay fixed.  "()" and the empty
-    string both denote the identity.
+    string both denote the identity.  Blanks may sit between any two tokens.
     """
     _check_integer("degree", degree)
     if degree < 2 or degree % 2 != 0:
         raise PermutationParseError(
             f"degree must be a positive even integer, got {degree}"
         )
-    i = _skip_ws(text, 0)
-    if i < len(text) and text[i] == "[":
-        return _parse_one_line(text, i, degree)
-    return _parse_cycles(text, i, degree)
+    tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the input
+    parse = _parse_one_line if tokens[0] == "[" else _parse_cycles
+    return parse(text, tokens, degree, len(str(degree)))
 
 
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
+def _error(text: str, k: int, message: str) -> PermutationParseError:
+    """The error at token k's offset; "{}" in message becomes the character
+    found there, or 'end of input'.  Only errors rescan, with the same
+    pattern, so offsets and tokens cannot disagree."""
+    offsets = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    position = offsets[k]
+    found = text[position] if position < len(text) else "end of input"
+    return PermutationParseError(message.format(repr(found)), position)
 
 
-def _parse_int(text: str, i: int) -> tuple[int, int]:
-    # ASCII digits only: str.isdigit also accepts '²', '٣' and '２'
-    start = i
-    while i < len(text) and text[i] in "0123456789":
-        i += 1
-    if i == start:
-        found = text[start] if start < len(text) else "end of input"
-        raise PermutationParseError(f"expected a point, found {found!r}", start)
-    return int(text[start:i]), i
+def _point(
+    text: str, tokens: list[str], k: int, degree: int, width: int, seen: set[int]
+) -> int:
+    """Token k as a point of 1..degree not yet in seen, which it joins.  A run
+    longer than the ``width`` digits of degree is out of range before int()."""
+    digits = tokens[k]
+    if not "0" <= digits < ":":  # only a digit run starts with 0-9
+        raise _error(text, k, "expected a point, found {}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > width or not 1 <= (point := int(digits)) <= degree:
+        raise _error(text, k, f"point {digits} out of range 1..{degree}")
+    if point in seen:
+        raise _error(text, k, f"duplicate point {point}")
+    seen.add(point)
+    return point
 
 
-def _parse_cycles(text: str, i: int, degree: int) -> Permutation:
+def _parse_cycles(text: str, tokens: list[str], degree: int, width: int) -> Permutation:
     images = list(range(1, degree + 1))
-    used: set[int] = set()
-    while i < len(text):
-        if text[i] != "(":
-            raise PermutationParseError(f"expected '(', found {text[i]!r}", i)
-        i = _skip_ws(text, i + 1)
-        if i < len(text) and text[i] == ")":
-            i = _skip_ws(text, i + 1)  # "()" is an explicit identity factor
+    seen: set[int] = set()
+    k = 0
+    while tokens[k]:
+        if tokens[k] != "(":
+            raise _error(text, k, "expected '(', found {}")
+        if tokens[k + 1] == ")":  # "()" is an explicit identity factor
+            k += 2
             continue
-        cyc: list[int] = []
-        while True:
-            pos = i
-            point, i = _parse_int(text, i)
-            if not 1 <= point <= degree:
-                raise PermutationParseError(
-                    f"point {point} out of range 1..{degree}", pos
-                )
-            if point in used:
-                raise PermutationParseError(f"duplicate point {point}", pos)
-            used.add(point)
-            cyc.append(point)
-            i = _skip_ws(text, i)
-            if i >= len(text):
-                raise PermutationParseError("unclosed cycle", len(text))
-            if text[i] == ",":
-                i = _skip_ws(text, i + 1)
-                continue
-            if text[i] == ")":
-                i = _skip_ws(text, i + 1)
-                break
-            raise PermutationParseError(
-                f"expected ',' or ')', found {text[i]!r}", i
-            )
-        if len(cyc) < 2:
-            raise PermutationParseError(
-                "a cycle needs at least two points", i - 1
-            )
-        for j, p in enumerate(cyc):
-            images[p - 1] = cyc[(j + 1) % len(cyc)]
+        cycle = [_point(text, tokens, k + 1, degree, width, seen)]
+        k += 2
+        while tokens[k] == ",":
+            cycle.append(_point(text, tokens, k + 1, degree, width, seen))
+            k += 2
+        if not tokens[k]:
+            raise _error(text, k, "unclosed cycle")
+        if tokens[k] != ")":
+            raise _error(text, k, "expected ',' or ')', found {}")
+        if len(cycle) < 2:
+            raise _error(text, k, "a cycle needs at least two points")
+        k += 1
+        for j, p in enumerate(cycle):
+            images[p - 1] = cycle[(j + 1) % len(cycle)]
     return Permutation(tuple(images))
 
 
-def _parse_one_line(text: str, i: int, degree: int) -> Permutation:
-    i = _skip_ws(text, i + 1)
+def _parse_one_line(text: str, tokens: list[str], degree: int, width: int) -> Permutation:
     points: list[int] = []
     seen: set[int] = set()
-    while i < len(text) and text[i] != "]":
-        pos = i
-        point, i = _parse_int(text, i)
-        if not 1 <= point <= degree:
-            raise PermutationParseError(f"point {point} out of range 1..{degree}", pos)
-        if point in seen:
-            raise PermutationParseError(f"duplicate point {point}", pos)
-        seen.add(point)
-        points.append(point)
-        i = _skip_ws(text, i)
-    if i >= len(text):
-        raise PermutationParseError("unclosed '['", len(text))
-    i = _skip_ws(text, i + 1)
-    if i < len(text):
-        raise PermutationParseError(f"unexpected trailing text {text[i]!r}", i)
+    k = 1
+    while tokens[k] not in ("]", ""):
+        points.append(_point(text, tokens, k, degree, width, seen))
+        k += 1
+    if not tokens[k]:
+        raise _error(text, k, "unclosed '['")
+    if tokens[k + 1]:
+        raise _error(text, k + 1, "unexpected trailing text {}")
     if len(points) != degree:
         raise PermutationParseError(
             f"one-line form needs exactly {degree} points, got {len(points)}"

@@ -552,11 +552,9 @@ def write_state_file(path, rho: DensityMatrix) -> None:
     """Write rho in the text format; a state with r above the class guard
     raises the reader's StateFileError, and no file is created."""
     _check_file_guard(rho.r)
-    row_format = " ".join(["%.16e"] * (2 * rho.dim)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{rho.r} {rho.d}\n")
-        for row in rho.entries.view(np.float64):
-            fh.write(row_format % tuple(row.tolist()))
+        np.savetxt(fh, rho.entries.view(np.float64), fmt="%.16e")
 
 
 def _data_lines(lines):

@@ -359,6 +359,14 @@ class TestCanonicalKey:
                 CanonicalKey(bad, (), ())
         assert CanonicalKey(np.int64(2), (1,), (1,)) == CanonicalKey(2, (1,), (1,))
 
+    def test_non_integer_entries_named(self):
+        # True and 2.0 equal subsystems, and True rendered as H={True}
+        with pytest.raises(TypeError, match="^heads entry must be an integer, got True$"):
+            CanonicalKey(3, (True,), (2,))
+        with pytest.raises(TypeError, match="^tails entry must be an integer, got 2.0$"):
+            CanonicalKey(3, (1,), (2.0,))
+        assert CanonicalKey(3, (np.int64(1),), (np.int64(2),)) == CanonicalKey(3, (1,), (2,))
+
 
 class TestClosedFormKey:
     """The parity-profile key against the rewrite normal form it summarizes."""

@@ -95,6 +95,11 @@ class TestCanon:
             assert result.exit_code == 3
             assert "expected a point, found '²' (at position 3)" in result.output
 
+    def test_over_long_point_exit_3(self, runner):
+        result = invoke(runner, "canon", "-r", "2", "(" + "1" * 5000 + ",2)")
+        assert result.exit_code == 3
+        assert result.output.endswith("out of range 1..4 (at position 1)\n")
+
     def test_usage_error_exit_2(self, runner):
         assert invoke(runner, "canon").exit_code == 2
         assert invoke(runner, "canon", "-r", "9", "(1,2)").exit_code == 2

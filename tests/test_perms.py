@@ -1,7 +1,11 @@
 """Permutation arithmetic: parsing, composition, inversion, cycles."""
 
+import ast
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permsep import (
     Permutation,
@@ -14,7 +18,12 @@ from permsep import (
     parse_permutation,
     permutation_from_cycles,
 )
-from conftest import random_permutation
+from conftest import permutations_of_degree, property_settings, random_permutation
+
+# the grammar's characters, blanks that str.isspace accepts, and digits
+# that only Unicode calls digits
+_PARSE_ALPHABET = st.sampled_from(list("0123456789()[], \t\nx") + ["\xa0", "²", "٣", "２"])
+_FOUND = re.compile(r"found (.+) \(at position \d+\)$")
 
 
 class TestParse:
@@ -75,12 +84,54 @@ class TestParse:
                 parse_permutation(text, 4)
             assert info.value.position == pos
 
-    def test_format_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            degree = int(rng.choice([4, 6, 8, 10, 12]))
-            p = random_permutation(rng, degree)
-            assert parse_permutation(str(p), degree) == p
+    def test_one_point_cycle_reports_its_close(self):
+        # the position names the ')', not a blank after it
+        for text in ("(1)  (2,3)", "(1) "):
+            with pytest.raises(PermutationParseError, match="at least two points") as info:
+                parse_permutation(text, 4)
+            assert info.value.position == 2
+
+    def test_over_long_point_out_of_range(self):
+        # longer than int()'s 4300-digit limit, which raised a bare ValueError
+        text = "(" + "1" * 5000 + ",2)"
+        with pytest.raises(PermutationParseError, match=r"out of range 1\.\.4 \(at position 1\)$"):
+            parse_permutation(text, 4)
+        with pytest.raises(PermutationParseError, match=r"^point 5 out of range 1\.\.4 \(at position 1\)$"):
+            parse_permutation("(005,1)", 4)
+        assert parse_permutation("[0002 00001]", 2) == global_transpose(2)
+
+    @property_settings
+    @given(
+        st.one_of(st.text(_PARSE_ALPHABET, max_size=16), st.text(max_size=16)),
+        st.integers(1, 8).map(lambda r: 2 * r),
+    )
+    def test_any_text_parses_or_fails_at_a_position(self, text, degree):
+        try:
+            parse_permutation(text, degree)
+        except PermutationParseError as exc:
+            position = exc.position
+            assert position is None or 0 <= position <= len(text)
+            # an error names a token, never a blank
+            assert position in (None, len(text)) or not text[position].isspace()
+            if str(exc).startswith("unclosed"):
+                assert position == len(text)
+            found = _FOUND.search(str(exc))
+            if found:
+                char = ast.literal_eval(found.group(1))
+                if char == "end of input":
+                    assert position == len(text)
+                else:
+                    assert text[position] == char
+                    expected = str(exc)[: found.start()]
+                    assert repr(char) not in expected
+                    assert not ("a point" in expected and char in "0123456789")
+
+    @property_settings
+    @given(st.integers(1, 6).flatmap(permutations_of_degree))
+    def test_format_round_trip(self, p):
+        one_line = "[" + " ".join(map(str, p.images)) + "]"
+        assert parse_permutation(str(p), p.degree) == p
+        assert parse_permutation(one_line, p.degree) == p
 
     def test_degree_never_inferred(self):
         p = parse_permutation("(1,2)", 8)
@@ -103,6 +154,15 @@ class TestInvariants:
             Permutation([2, 1, 3, 4])
         with pytest.raises(TypeError, match="images must be a tuple"):
             Permutation(range(1, 5))
+
+    def test_non_integer_images_named(self):
+        # 2.0 and True equal points, so they used to pass and break str()
+        for images in ((2.0, 1.0, 3, 4), (2, True, 3, 4), (2, 1, 3.0, 4)):
+            with pytest.raises(TypeError, match="^images entry must be an integer"):
+                Permutation(images)
+        p = Permutation(tuple(np.array([2, 1, 3, 4])))
+        assert str(p) == "(1,2)"
+        assert p == Permutation((2, 1, 3, 4))
 
 
 class TestCompose:
