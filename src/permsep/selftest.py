@@ -27,9 +27,13 @@ from .normgroup import (
 )
 from .states import (
     DensityMatrix,
+    VERDICT_TOLERANCE,
+    _conjugating_subsystems,
+    _pure_vector,
     apply_permutation,
     bell_pair_state,
     detector_state,
+    evaluate_criteria,
     maximally_mixed_state,
     random_separable_state,
     random_state,
@@ -207,6 +211,33 @@ def _check_detectors(seed: int) -> tuple[bool, str]:
     )
 
 
+def _check_structured_routes(seed: int) -> tuple[bool, str]:
+    """evaluate_criteria's pure and real routes give the dense per-class norms."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    pure = DensityMatrix(3, 2, np.outer(v, v.conj()) / np.vdot(v, v).real)
+    mixed = random_state(4, 2, seed=seed)
+    # the conditions under which evaluate_criteria takes each route
+    _, delta = _pure_vector(pure.entries)
+    bound = np.sqrt(pure.dim) * delta
+    if not bound < 1e-3 * VERDICT_TOLERANCE:
+        return False, f"pure state's certificate {bound:.1e} does not admit the pure route"
+    paired = [key for key in enumerate_classes(4) if key.arrow_count
+              and _conjugating_subsystems(representative_permutation(key).images)]
+    worst = 0.0
+    for rho in (pure, mixed):
+        m = rho.entries
+        herm = DensityMatrix(rho.r, rho.d, (m + m.conj().T) / 2)
+        for rec in evaluate_criteria(rho).records:
+            dense = trace_norm(apply_permutation(herm, rec.representative))
+            worst = max(worst, abs(rec.norm - dense) / max(1.0, dense))
+    ok = worst <= 1e-12 and len(paired) == 3
+    return ok, (
+        f"pure r=3 state (bound {bound:.1e}) and random r=4 state ({len(paired)} real-route "
+        f"classes): worst relative deviation {worst:.1e} <= 1e-12, seed {seed}"
+    )
+
+
 def _check_bipartite_anchors(seed: int) -> tuple[bool, str]:
     """Bell pair: 2.0 under both criteria; I/4: 0.5 under R, 1.0 under QT."""
     bell = bell_pair_state(2, 2, 1, 2)
@@ -280,6 +311,7 @@ _CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
     ("norm-preservation", _check_norm_preservation),
     ("separability-bound", _check_separability_bound),
     ("detector-states", _check_detectors),
+    ("structured-routes", _check_structured_routes),
     ("bipartite-anchors", _check_bipartite_anchors),
     ("structural-properties", _check_structural),
 ]

@@ -59,6 +59,9 @@ TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 VERDICT_TOLERANCE = 1e-9
 
+# bytes of the block of rows that each blockwise O(dim^2) pass reads at a time
+_BLOCK_BYTES = 1 << 16
+
 
 class StateValidationError(ValueError):
     """A matrix violates the state invariants; lists every violation."""
@@ -74,6 +77,16 @@ class StateFileError(ValueError):
         super().__init__(message)
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^dagger|, a block of rows at a time, so that no dim x dim
+    temporary is held."""
+    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
+    return max(
+        float(np.max(np.abs(m[i : i + rows] - m[:, i : i + rows].conj().T)))
+        for i in range(0, len(m), rows)
+    )
+
+
 def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
     """The minimum eigenvalue of the Hermitian matrix m, or None where a
     Cholesky factorization certifies that it is above EIGENVALUE_FLOOR;
@@ -86,11 +99,29 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
     """
     shifted = m.copy()
     shifted.flat[:: len(m) + 1] -= EIGENVALUE_FLOOR / 2
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
+    if not _factor_in_place(shifted):
         return float(np.min(np.linalg.eigvalsh(m))), "eigvalsh"
     return None, "cholesky"
+
+
+def _factor_in_place(a: np.ndarray) -> bool:
+    """Whether the Hermitian C-contiguous a has a Cholesky factor, read from
+    its lower triangle; a is overwritten.
+
+    LAPACK's zpotrf from numpy's bundled OpenBLAS factors a in its own
+    buffer.  It reads a in Fortran order, as conj(a), which has a factor
+    exactly when a has, and whose upper triangle is a's lower one.  Without
+    that symbol, ``np.linalg.cholesky`` decides, at the cost of a factor
+    that is thrown away.
+    """
+    zpotrf = _openblas_zpotrf()
+    if zpotrf is None:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    return zpotrf(a) == 0
 
 
 def _check_dims(r: int, d: int) -> int:
@@ -154,7 +185,7 @@ class DensityMatrix:
             nan, inf = int(np.isnan(m).sum()), int(np.isinf(m).sum())
             return [f"non-finite entries: {nan} NaN, {inf} inf"]
         out = []
-        herm = float(np.max(np.abs(m - m.conj().T), initial=0.0))
+        herm = _hermitian_deviation(m)
         if herm > HERMITICITY_TOL:
             out.append(f"not Hermitian: max deviation {herm:.3e} > {HERMITICITY_TOL}")
         tr = complex(np.trace(m))
@@ -399,11 +430,10 @@ _ONE_THREAD_MAX_DIM = 361
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when numpy's BLAS is not scipy-openblas or the symbols are missing.
-    Looked up on first use, so that importing permsep does not pay for it.
-    """
+def _openblas():
+    """numpy's bundled OpenBLAS as a ``ctypes`` library, or None when numpy's
+    BLAS is not scipy-openblas.  Looked up on first use, so that importing
+    permsep does not pay for it."""
     import ctypes
     import glob
     import os
@@ -418,14 +448,52 @@ def _openblas_threads():
         return None
     try:
         # numpy has loaded this file already, so dlopen returns numpy's copy
-        lib = ctypes.CDLL(libs[0])
+        return ctypes.CDLL(libs[0])
+    except OSError:
+        return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when there is no such library or the symbols are missing."""
+    import ctypes
+
+    lib = _openblas()
+    try:
         get = lib.scipy_openblas_get_num_threads64_
         set_ = lib.scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
+    except AttributeError:  # also when lib is None
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     return get, set_
+
+
+@functools.cache
+def _openblas_zpotrf():
+    """In-place ``zpotrf`` of numpy's bundled OpenBLAS on the upper triangle
+    of a C-contiguous complex128 matrix read in Fortran order, returning
+    LAPACK's info (0 when the factor exists); or None when there is no such
+    library or the symbol is missing.  The library is ILP64: its integers
+    are 64-bit."""
+    import ctypes
+
+    try:
+        zpotrf = _openblas().scipy_zpotrf_64_
+    except AttributeError:  # also when there is no library
+        return None
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    # the trailing size_t is the length of uplo, which Fortran passes hidden
+    zpotrf.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64, ctypes.c_size_t]
+    zpotrf.restype = None
+
+    def factor(a: np.ndarray) -> int:
+        n, info = ctypes.c_int64(len(a)), ctypes.c_int64(0)
+        zpotrf(b"U", n, a.ctypes.data, n, info, 1)
+        return info.value
+
+    return factor
 
 
 @contextlib.contextmanager
@@ -465,6 +533,172 @@ def _plan(r: int) -> tuple[tuple[CanonicalKey, Permutation, int | None], ...]:
     return tuple(plan)
 
 
+# The structured routes below stand in for the dense one, a decomposition of
+# one d^r x d^r complex matrix per orbit, where the state allows it.
+#
+# The pure route is taken only when its certificate sqrt(dim) * delta is
+# below this share of the verdict tolerance, the tolerance capped at
+# VERDICT_TOLERANCE so that a loose verdict margin does not loosen the norms.
+_PURE_BOUND_SHARE = 1e-3
+# tr(rho^2) of a state that the certificate accepts is 1 within about
+# 2 * TRACE_TOL; a state below this screen is mixed and skips the certificate
+_PURITY_SCREEN = 1 - 1e-6
+
+
+def _pure_vector(m: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """(psi, ||m - psi psi^dagger||_F) for the Hermitian m, where psi is
+    m's column j over sqrt(m[j, j]) at its largest diagonal entry; or
+    (None, inf) when m's purity tr(m^2) shows that it is mixed.
+
+    Then psi psi^dagger and m share column j.  The distance is summed a
+    block of rows at a time, so no dim x dim temporary is held.
+    """
+    if np.vdot(m, m).real < _PURITY_SCREEN:
+        return None, np.inf
+    j = int(np.argmax(m.diagonal().real))
+    psi = m[:, j] / np.sqrt(m[j, j].real)
+    bra = psi.conj()
+    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
+    square = 0.0
+    for i in range(0, len(m), rows):
+        block = np.outer(psi[i : i + rows], bra)
+        np.subtract(m[i : i + rows], block, out=block)
+        square += np.vdot(block, block).real
+    return psi, float(np.sqrt(square))
+
+
+def _factored_norms(plan, psi: np.ndarray, r: int, d: int) -> tuple[list[float], int]:
+    """The plan's class norms of psi psi^dagger, and the SVDs they took.
+
+    Under sigma, the psi subscript of subsystem k lands on an output row
+    when sigma(2k - 1) is odd, and its conjugate's when sigma(2k) is.  With
+    A and B those two sets of subsystems, the permuted matrix is
+    Psi_A (x) conj(Psi_B) up to row and column order, where Psi_X is psi
+    with the subsystems in X as its row index.  So the norm is S(A) S(B),
+    with S(X) the trace norm of Psi_X.  S(X) = S(X^c), and S of the empty
+    set is the vector norm of psi, so at most 2^(r-1) - 1 SVDs are needed.
+    """
+    tensor = psi.reshape((d,) * r)
+    everyone = frozenset(range(r))
+    sums: dict[frozenset[int], float] = {}
+
+    def schmidt(rows: frozenset[int]) -> float:
+        rest = everyone - rows
+        # the shorter side is the row index, and of two equal sides the one
+        # with subsystem 0, so that X and X^c share one entry
+        if (len(rows), 0 in rest) > (len(rest), 0 in rows):
+            rows, rest = rest, rows
+        if rows not in sums:
+            if not rows:
+                sums[rows] = float(np.linalg.norm(psi))
+            else:
+                m = tensor.transpose(sorted(rows) + sorted(rest)).reshape(d ** len(rows), -1)
+                # trace_norm takes square matrices; zero rows add only zero singular values
+                square = np.zeros((m.shape[1], m.shape[1]), dtype=np.complex128)
+                square[: len(m)] = m
+                sums[rows] = trace_norm(square)
+        return sums[rows]
+
+    norms: list[float] = []
+    for _, rep, partner in plan:
+        if partner is not None:
+            norms.append(norms[partner])
+            continue
+        images = rep.images
+        kets = frozenset(k for k in range(r) if images[2 * k] % 2)
+        bras = frozenset(k for k in range(r) if images[2 * k + 1] % 2)
+        norms.append(schmidt(kets) * schmidt(bras))
+    return norms, sum(1 for rows in sums if rows)
+
+
+@functools.cache
+def _conjugating_subsystems(images: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The subsystem permutation pi, as images of 1..r, that conjugates
+    every Hermitian h permuted by sigma, or None when there is none.
+
+    Here pi acts on the row and on the column subscripts alike: it sends
+    2k - 1 to 2 pi(k) - 1 and 2k to 2 pi(k).  conj(h) is h permuted by the
+    global transpose t, and permuting by a and then by b is permuting by
+    b a, so the one candidate is sigma t sigma^-1.  It is an involution,
+    so pi is one too.  It exists exactly for the self-paired arrow classes'
+    representatives, and only at even r.
+    """
+    inverse = [0] * (len(images) + 1)
+    for point, image in enumerate(images, start=1):
+        inverse[image] = point
+    # (p - 1) ^ 1 is the 0-based index of t(p)
+    moved = [images[(inverse[q] - 1) ^ 1] for q in range(1, len(images) + 1)]
+    pi = []
+    for row, column in zip(moved[::2], moved[1::2]):
+        if row % 2 == 0 or column != row + 1:
+            return None
+        pi.append((row + 1) // 2)
+    return tuple(pi)
+
+
+@functools.cache
+def _real_layout(pi: tuple[int, ...], d: int) -> tuple:
+    """The basis change W of the subsystem involution pi, and the blocks in
+    which ``_real_form`` reads a matrix's rows.
+
+    pi permutes the row basis by an involution s.  W keeps each fixed point
+    e_f of s, and turns each pair x < s(x) = y into (e_x + e_y) / sqrt(2)
+    and i (e_x - e_y) / sqrt(2); then W^dagger a W is real whenever
+    a[s][:, s] == conj(a).  Returns the fixed points, the pairs' x and y,
+    and the sources (the fixed points and the x) in blocks of consecutive
+    sources, each block's fixed points first, with their count.
+    """
+    dim = d ** len(pi)
+    index = np.arange(dim)
+    s = index.reshape((d,) * len(pi)).transpose([k - 1 for k in pi]).reshape(dim)
+    firsts = np.flatnonzero(index < s)
+    sources = np.flatnonzero(index <= s)
+    rows = max(1, _BLOCK_BYTES // (16 * dim))
+    blocks = []
+    for t in range(0, len(sources), rows):
+        block = sources[t : t + rows]
+        kept = s[block] == block
+        blocks.append((np.concatenate([block[kept], block[~kept]]), int(kept.sum())))
+    return np.flatnonzero(index == s), firsts, s[firsts], tuple(blocks)
+
+
+def _real_form(a: np.ndarray, layout: tuple) -> np.ndarray:
+    """W^dagger a W as a real dim x dim matrix, written over a's own buffer.
+
+    a must be writable, C-contiguous and read by no one else afterwards, and
+    a[s][:, s] == conj(a) must hold, for the layout's s and W.  With c = a W,
+    the output rows are Re c[f] for a fixed point f, and sqrt(2) Re c[x] and
+    sqrt(2) Im c[x] for a pair x < y, because c[y] = conj(c[x]); so only
+    the sources' rows of a are read.  Row and column order leave the
+    singular values alone, so each block's output rows follow the block's
+    rows.  Blocks are read whole, in increasing order, before they are
+    written.  The t-th source is row t or later, and the at most 2t output
+    rows before it fill at most t complex rows, so no row is overwritten
+    before it is read.
+    """
+    fixed, firsts, seconds, blocks = layout
+    dim, nf, nx = len(a), len(fixed), len(firsts)
+    out = a.view(np.float64).reshape(-1)[: dim * dim].reshape(dim, dim)
+    columns = (slice(0, nf), slice(nf, nf + nx), slice(nf + nx, dim))
+    root2, top = np.sqrt(2.0), 0
+    for rows, nkept in blocks:
+        v = a[rows]
+        kept, x, y = v[:, fixed], v[:, firsts], v[:, seconds]
+        plus, minus = x + y, x - y
+        npair = len(rows) - nkept
+        f, p = slice(None, nkept), slice(nkept, None)
+        # c = [kept, plus / sqrt(2), i minus / sqrt(2)]
+        for start, count, pieces in (
+            (top, nkept, (kept[f].real, plus[f].real / root2, minus[f].imag / -root2)),
+            (top + nkept, npair, (kept[p].real * root2, plus[p].real, -minus[p].imag)),
+            (top + nkept + npair, npair, (kept[p].imag * root2, plus[p].imag, minus[p].real)),
+        ):
+            for cols, piece in zip(columns, pieces):
+                out[start : start + count, cols] = piece
+        top += nkept + 2 * npair
+    return out
+
+
 def evaluate_criteria(
     rho: DensityMatrix, tolerance: float = VERDICT_TOLERANCE
 ) -> CriterionReport:
@@ -485,6 +719,14 @@ def evaluate_criteria(
     computed once per process.  A negative or NaN tolerance raises
     ValueError.
 
+    Two routes replace that dense one where the state allows it.  A pure
+    state's norms factor into Schmidt sums of its vector (``_factored_norms``),
+    which are used only when the certificate sqrt(dim) * ||rho - psi psi^dagger||_F,
+    a bound on every norm's error, is below 1e-3 * min(tolerance,
+    VERDICT_TOLERANCE): a tolerance of 0 always takes the dense route.  A
+    self-paired arrow class's matrix is unitarily similar to a real one
+    (``_real_form``), whose SVD is cheaper.
+
     Up to dim 361, the decompositions run on one thread of numpy's bundled
     OpenBLAS, which is faster there than several.  That thread count is a
     process-wide setting: it is changed for the duration of the call and
@@ -498,28 +740,47 @@ def evaluate_criteria(
     herm = rho
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
-    norms: list[float] = []
-    svds = eighs = 0
+    svds = eighs = reals = pure = 0
     with _blas_threads_for(rho.dim) as threads:
-        for key, rep, partner in plan:
-            if partner is not None:
-                norm = norms[partner]
-            elif key.arrow_count == 0:
-                eigenvalues = np.linalg.eigvalsh(apply_permutation(herm, rep).entries)
-                norm = float(np.abs(eigenvalues).sum())
-                eighs += 1
-            else:
-                norm = trace_norm(apply_permutation(herm, rep))
-                svds += 1
-            norms.append(norm)
+        limit = _PURE_BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
+        psi, delta = _pure_vector(herm.entries)
+        bound = np.sqrt(rho.dim) * delta
+        if psi is not None and bound < limit:
+            norms, schmidt = _factored_norms(plan, psi, r, rho.d)
+            pure = sum(1 for _, _, partner in plan if partner is None)
+            route = f"bound {bound:.1e} < {limit:.0e}, {schmidt} schmidt svd"
+        else:
+            route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
+            norms = []
+            for key, rep, partner in plan:
+                if partner is not None:
+                    norm = norms[partner]
+                elif key.arrow_count == 0:
+                    eigenvalues = np.linalg.eigvalsh(apply_permutation(herm, rep).entries)
+                    norm = float(np.abs(eigenvalues).sum())
+                    eighs += 1
+                else:
+                    permuted = apply_permutation(herm, rep)
+                    a, pi = permuted.entries, _conjugating_subsystems(rep.images)
+                    if pi is not None and not np.may_share_memory(a, herm.entries):
+                        # a is this call's own array, so its buffer takes the real form
+                        a.setflags(write=True)
+                        norm = trace_norm(_real_form(a, _real_layout(pi, rho.d)))
+                        reals += 1
+                    else:
+                        norm = trace_norm(permuted)
+                        svds += 1
+                norms.append(norm)
     records = tuple(
         ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
     )
     max_norm = max(norms, default=0.0)
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
-        "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, %s",
-        r, rho.d, len(records), svds + eighs, svds, eighs, threads,
+        "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, "
+        "%d real svd, %d pure (%s), %s",
+        r, rho.d, len(records), svds + eighs + reals + pure, svds, eighs,
+        reals, pure, route, threads,
     )
     return CriterionReport(
         r=r,

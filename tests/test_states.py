@@ -437,14 +437,47 @@ CROSS_CHECK_STATES = (
 )
 
 
-def _evaluation_counts(caplog, rho: DensityMatrix) -> tuple[int, ...]:
-    """(classes, orbits, svd, eigvalsh) from evaluate_criteria's log record."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="permsep"):
-        evaluate_criteria(rho)
-    (record,) = [rec for rec in caplog.records if rec.name == "permsep"]
+def _dense_norms(rho: DensityMatrix) -> list[float]:
+    """Every class norm by the per-class route, on the Hermitian part."""
+    m = rho.entries
+    herm = DensityMatrix(rho.r, rho.d, (m + m.conj().T) / 2)
+    return [trace_norm(apply_permutation(herm, rep)) for _, rep, _ in states._plan(rho.r)]
+
+
+class _Messages(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.DEBUG)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _evaluation_message(rho: DensityMatrix, tolerance: float = 1e-9) -> str:
+    """evaluate_criteria's debug record, after checking every class norm
+    against the per-class route.  Collects the record with its own handler,
+    since hypothesis runs a test's examples under one caplog fixture."""
+    log, handler = logging.getLogger("permsep"), _Messages()
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        report = evaluate_criteria(rho, tolerance=tolerance)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    for rec, norm in zip(report.records, _dense_norms(rho)):
+        assert _close(rec.norm, norm), rec.key.render()
+    (message,) = handler.messages
+    return message
+
+
+def _evaluation_counts(rho: DensityMatrix) -> tuple[int, ...]:
+    """(classes, orbits, svd, eigvalsh, real svd, pure) from evaluate_criteria's
+    debug record; svd and eigvalsh count the dense decompositions only."""
     match = re.search(
-        r"(\d+) classes, (\d+) orbits, (\d+) svd, (\d+) eigvalsh", record.getMessage()
+        r"(\d+) classes, (\d+) orbits, (\d+) svd, (\d+) eigvalsh, (\d+) real svd, (\d+) pure",
+        _evaluation_message(rho),
     )
     return tuple(int(x) for x in match.groups())
 
@@ -475,9 +508,10 @@ class TestOrbitEvaluation:
         verdict = "entangled" if max(per_class, default=0.0) > 1.0 + report.tolerance else "undetected"
         assert report.verdict == verdict
 
-    def test_decomposition_counts_on_full_evaluations(self, caplog):
-        assert _evaluation_counts(caplog, random_state(6, 2, seed=1)) == (461, 251, 220, 31)
-        assert _evaluation_counts(caplog, _noisy_ghz(3, 3)) == (9, 6, 3, 3)
+    def test_decomposition_counts_on_full_evaluations(self):
+        # r = 6 has 10 self-paired arrow classes, which take the real route
+        assert _evaluation_counts(random_state(6, 2, seed=1)) == (461, 251, 210, 31, 10, 0)
+        assert _evaluation_counts(_noisy_ghz(3, 3)) == (9, 6, 3, 3, 0, 0)
 
     def test_decomposition_counts_of_transpose_pairs(self):
         # the r = 7 and 8 evaluations take too long for the suite, so count
@@ -511,8 +545,8 @@ class TestOrbitEvaluation:
         # both dims are small, so the route is one thread where it can be set
         threads = "1 blas thread" if states._openblas_threads() else "blas threads unchanged"
         assert [rec.getMessage() for rec in records] == [
-            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, {threads}",
-            f"evaluate r=4 d=2: 34 classes, 22 orbits, 15 svd, 7 eigvalsh, {threads}",
+            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, 0 real svd, 0 pure (mixed), {threads}",
+            f"evaluate r=4 d=2: 34 classes, 22 orbits, 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), {threads}",
         ]
 
     def test_repeat_evaluation_gives_equal_records(self):
@@ -578,6 +612,135 @@ class TestNormProperties:
         sigma = data.draw(permutations_of_degree(rho.r))
         base = trace_norm(apply_permutation(invariant, sigma))
         assert _close(trace_norm(apply_permutation(invariant, compose(s, sigma))), base)
+
+
+def _pure(r: int, d: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(d**r) + 1j * rng.standard_normal(d**r)
+    v /= np.linalg.norm(v)
+    return DensityMatrix(r, d, np.outer(v, v.conj()))
+
+
+PURE_ROUTE = re.compile(r", 0 svd, 0 eigvalsh, 0 real svd, (\d+) pure \(bound \S+ < 1e-12, \d+ schmidt svd\)")
+
+
+LIBRARY_PURE_STATES = (
+    [(f"ghz-{r}-{d}", lambda r=r, d=d: ghz_state(r, d)) for r, d in SMALL_SIZES if r >= 2]
+    + [(f"bell-2-{d}", lambda d=d: bell_pair_state(2, d, 1, 2)) for d in range(2, 9)]
+    + [
+        (f"detector-{key.type_label}-{d}", lambda key=key, d=d: detector_state(key, d))
+        for key in enumerate_classes(2)[1:]
+        for d in (2, 3, 5, 8)
+    ]
+)
+
+
+def _self_paired_arrow_classes(r: int) -> list:
+    return [key for key in enumerate_classes(r)[1:] if key.arrow_count and _transpose_key(key) == key]
+
+
+class TestStructuredRoutes:
+    """The pure and real routes give every class the per-class route's norm
+    within 1e-12 relative, and are taken exactly where they apply."""
+
+    @small_settings
+    @given(st.data())
+    def test_pure_route_on_random_pure_states(self, data):
+        r, d = data.draw(st.sampled_from(SMALL_SIZES))
+        rho = _pure(r, d, data.draw(st.integers(0, 2**32 - 1)))
+        message = _evaluation_message(rho)
+        assert PURE_ROUTE.search(message), message
+
+    @pytest.mark.parametrize(
+        "make", [make for _, make in LIBRARY_PURE_STATES], ids=[n for n, _ in LIBRARY_PURE_STATES]
+    )
+    def test_pure_route_on_library_pure_states(self, make):
+        message = _evaluation_message(make())
+        assert PURE_ROUTE.search(message), message
+
+    def test_schmidt_svds_at_most_half_the_bipartitions(self):
+        for r in (2, 3, 4, 5, 6):
+            message = _evaluation_message(_pure(r, 2, seed=r))
+            assert f", {2 ** (r - 1) - 1} schmidt svd)" in message, message
+
+    @pytest.mark.parametrize("epsilon, reason", [(1e-6, r"mixed"), (1e-9, r"bound \S+ >= 1e-12")])
+    def test_near_pure_states_take_the_dense_route(self, epsilon, reason):
+        psi = _pure(2, 4, seed=7).entries
+        rho = DensityMatrix(2, 4, (1 - epsilon) * psi + epsilon * np.eye(16) / 16)
+        # a loose tolerance does not loosen the certificate
+        for tolerance in (1e-9, 0.5):
+            message = _evaluation_message(rho, tolerance)
+            assert re.search(rf", 0 pure \({reason}\)", message), message
+
+    @pytest.mark.parametrize("make", [
+        lambda: ghz_state(3, 2), lambda: _pure(4, 2, seed=3), lambda: bell_pair_state(2, 3, 1, 2),
+        lambda: random_state(4, 2, seed=1),
+    ], ids=["ghz-3-2", "pure-4-2", "bell-2-3", "random-4-2"])
+    def test_tolerance_zero_takes_the_dense_route(self, make):
+        message = _evaluation_message(make(), tolerance=0.0)
+        assert re.search(r", 0 pure \((mixed|bound \S+ >= 0e\+00)\)", message), message
+
+    @settings(property_settings, max_examples=40)
+    @given(st.data())
+    def test_real_route_on_random_states(self, data):
+        r, d = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 5), (2, 8), (4, 2), (6, 2)]))
+        rho = random_state(r, d, seed=data.draw(st.integers(0, 2**32 - 1)))
+        before = rho.entries.copy()
+        message = _evaluation_message(rho)
+        assert f", {len(_self_paired_arrow_classes(r))} real svd, 0 pure (mixed)" in message
+        assert np.array_equal(rho.entries, before)  # the real form overwrites only its own copy
+
+    def test_dense_route_where_the_permuted_matrix_is_the_state(self):
+        # at d = 1 apply_permutation returns a view of the state's own array
+        rho = maximally_mixed_state(2, 1)
+        report = evaluate_criteria(rho, tolerance=0.0)
+        assert [rec.norm for rec in report.records] == [1.0, 1.0]
+        assert rho.entries[0, 0] == 1.0
+
+    def test_conjugating_involution_of_every_self_paired_class(self):
+        for r, count in ((1, 0), (2, 1), (3, 0), (4, 3), (5, 0), (6, 10), (7, 0), (8, 35)):
+            found = 0
+            for key in enumerate_classes(r)[1:]:
+                if not key.arrow_count:
+                    continue
+                pi = states._conjugating_subsystems(representative_permutation(key).images)
+                assert (pi is not None) == (_transpose_key(key) == key), key.render()
+                if pi is not None:
+                    assert sorted(pi) == list(range(1, r + 1))
+                    assert all(pi[pi[k] - 1] == k + 1 for k in range(r))
+                    found += 1
+            assert found == count
+
+    @pytest.mark.parametrize("r, d", [(2, 3), (2, 4), (4, 2)])
+    def test_real_form_is_exactly_real(self, r, d):
+        m = random_state(r, d, seed=11).entries
+        herm = DensityMatrix(r, d, (m + m.conj().T) / 2)
+        for key in _self_paired_arrow_classes(r):
+            rep = representative_permutation(key)
+            pi = states._conjugating_subsystems(rep.images)
+            a = apply_permutation(herm, rep).entries
+            moved = Permutation(tuple(p for k in pi for p in (2 * k - 1, 2 * k)))
+            assert np.array_equal(apply_permutation(DensityMatrix(r, d, a), moved).entries, a.conj())
+            fixed, firsts, seconds, _ = states._real_layout(pi, d)
+            # W^dagger a W by row and column slicing, in complex arithmetic
+            h = 1 / np.sqrt(2)
+            c = np.concatenate(
+                [a[:, fixed], (a[:, firsts] + a[:, seconds]) * h, (a[:, firsts] - a[:, seconds]) * (1j * h)],
+                axis=1,
+            )
+            form = np.concatenate([c[fixed], (c[firsts] + c[seconds]) * h, (c[firsts] - c[seconds]) * (-1j * h)])
+            assert not form.imag.any()
+            w = np.zeros((d**r, d**r), dtype=complex)
+            w[fixed, np.arange(len(fixed))] = 1
+            plus, minus = len(fixed) + np.arange(len(firsts)), len(fixed) + len(firsts) + np.arange(len(firsts))
+            w[firsts, plus], w[seconds, plus] = h, h
+            w[firsts, minus], w[seconds, minus] = 1j * h, -1j * h
+            assert np.allclose(w.conj().T @ w, np.eye(d**r), atol=1e-15)
+            assert np.allclose(w.conj().T @ a @ w, form, atol=1e-15)
+            real = states._real_form(a.copy(), states._real_layout(pi, d))
+            assert real.dtype == np.float64
+            want = np.linalg.svd(form.real, compute_uv=False)
+            assert np.allclose(np.linalg.svd(real, compute_uv=False), want, rtol=0, atol=1e-15)
 
 
 class TestStateFiles:
@@ -750,7 +913,8 @@ class TestStateFiles:
         assert str(info.value) == message
 
     def test_read_peak_memory(self, tmp_path):
-        # the parent held the text twice and a list of floats: 8x the matrix
+        # the matrix and the shifted copy that zpotrf factors in place: 2.01x
+        # the matrix; the np.linalg.cholesky fallback also holds its factor
         path = tmp_path / "state.txt"
         write_state_file(path, random_state(8, 2, seed=2))
         tracemalloc.start()
@@ -759,7 +923,8 @@ class TestStateFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 16 * 256**2
+        bound = 2.5 if states._openblas_zpotrf() is not None else 3.5
+        assert peak <= bound * 16 * 256**2
 
     def test_one_debug_record_per_read(self, tmp_path, caplog):
         fast, slow = tmp_path / "fast.state", tmp_path / "slow.state"
@@ -891,9 +1056,14 @@ class TestBenchmarkHooks:
             evaluate_criteria(rho)
             assert (len(applied), len(operands)) == (251, 220)
             assert all(out.entries.shape == (64, 64) for out in applied)
-            # the tracer tells a trace norm's operator by identity
+            # the tracer tells a trace norm's operator by identity; the 10
+            # self-paired classes pass their real form, a float64 array
             ids = {id(out) for out in applied}
-            assert all(id(op) in ids for op in operands)
+            dense = [op for op in operands if isinstance(op, DensityMatrix)]
+            real = [op for op in operands if not isinstance(op, DensityMatrix)]
+            assert all(id(op) in ids for op in dense)
+            assert len(real) == 10
+            assert all(op.dtype == np.float64 and op.shape == (64, 64) for op in real)
 
 
 openblas = pytest.mark.skipif(
@@ -967,8 +1137,12 @@ class TestBlasThreads:
                 assert rec.norm == report.records[partner].norm
                 continue
             permuted = apply_permutation(rho, rec.representative).entries
+            pi = states._conjugating_subsystems(rec.representative.images)
             if rec.key.arrow_count == 0:
                 assert rec.norm == float(np.abs(np.linalg.eigvalsh(permuted)).sum())
+            elif pi is not None:  # a self-paired class: the norm of its real form
+                real = states._real_form(permuted.copy(), states._real_layout(pi, 2))
+                assert rec.norm == trace_norm(real)
             else:
                 assert rec.norm == trace_norm(permuted)
 
@@ -1055,6 +1229,15 @@ class TestPositivityCertificate:
     @pytest.mark.parametrize("r, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2), (6, 2), (8, 2)])
     @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
     def test_same_verdict_as_eigvalsh_at_the_floor(self, r, d, scale):
+        rho = self._state_at_the_floor(r, d, scale)
+        lo = float(np.min(np.linalg.eigvalsh(rho.entries)))
+        expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if lo < EIGENVALUE_FLOOR else []
+        assert rho.state_violations() == expected
+        assert (lo < EIGENVALUE_FLOOR) == (scale > 1)
+
+    @staticmethod
+    def _state_at_the_floor(r: int, d: int, scale: float) -> DensityMatrix:
+        """A state whose one negative eigenvalue is scale * EIGENVALUE_FLOOR."""
         dim = d**r
         rng = np.random.default_rng(dim)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -1064,11 +1247,37 @@ class TestPositivityCertificate:
         m = (q * spectrum) @ q.conj().T
         m = (m + m.conj().T) / 2
         m[np.diag_indices(dim)] += (1 - np.trace(m).real) / dim
-        rho = DensityMatrix(r, d, m)
+        return DensityMatrix(r, d, m)
+
+    @pytest.mark.parametrize("route", ["zpotrf", "numpy"])
+    @pytest.mark.parametrize("r, d", [(1, 2), (2, 3), (4, 2), (8, 2)])
+    @pytest.mark.parametrize("scale", [0.4, 1 - 1e-3, 1 + 1e-3, 1 - 1e-6, 1 + 1e-6])
+    def test_both_factorizations_give_the_eigvalsh_verdict(self, monkeypatch, route, r, d, scale):
+        # the in-place zpotrf and its np.linalg.cholesky fallback, each on
+        # a negative eigenvalue just above and just below the floor; the
+        # factor certifies alone only above half the floor
+        if route == "zpotrf" and states._openblas_zpotrf() is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        if route == "numpy":
+            monkeypatch.setattr(states, "_openblas_zpotrf", lambda: None)
+        rho = self._state_at_the_floor(r, d, scale)
         lo = float(np.min(np.linalg.eigvalsh(rho.entries)))
-        expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if lo < EIGENVALUE_FLOOR else []
-        assert rho.state_violations() == expected
         assert (lo < EIGENVALUE_FLOOR) == (scale > 1)
+        assert (states._minimum_eigenvalue(rho.entries)[1] == "cholesky") == (scale < 0.5)
+        expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if scale > 1 else []
+        assert rho.state_violations() == expected
+
+    @pytest.mark.skipif(states._openblas_zpotrf() is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+    def test_in_place_factor_reads_the_lower_triangle(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 64):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = g @ g.conj().T + np.eye(n)
+            a = np.tril(h) + np.triu(np.full((n, n), 1e3 + 1e3j), 1)  # the upper triangle is never read
+            assert states._factor_in_place(a)
+            # the factor replaces the lower triangle, in a's own buffer
+            assert np.allclose(np.tril(a), np.linalg.cholesky(h))
+            assert not states._factor_in_place(h - 2 * np.linalg.norm(h, 2) * np.eye(n))
 
     def test_certificate_taken_on_valid_states(self):
         for rho in (random_state(2, 2, seed=1), ghz_state(3, 2), bell_pair_state(2, 3, 1, 2)):
