@@ -18,6 +18,8 @@ import contextlib
 import functools
 import itertools
 import logging
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -255,7 +257,7 @@ def trace_norm(operator: DensityMatrix | np.ndarray) -> float:
     m = operator.entries if isinstance(operator, DensityMatrix) else np.asarray(operator)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    return float(_singular_values(m).sum())
 
 
 def _check_pair(r: int, k: int, l: int) -> None:
@@ -427,6 +429,23 @@ def _valid_tolerance(tolerance: float) -> float:
 # One OpenBLAS thread beats two on SVDs up to dim 361 (19^2) and loses from
 # dim 400 (20^2) on, measured on a 2-core host; no d^r lies in between.
 _ONE_THREAD_MAX_DIM = 361
+# On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
+# evaluation's orbits among up to _MAX_WORKERS threads, since the LAPACK
+# layer below releases the GIL, which np.linalg holds for one matrix up to
+# dim 256 at least.  Two workers against the serial route, medians of
+# alternating evaluations on a 2-core host: dim 8 0.29x, 16 0.51x, 27 0.81x;
+# 32 1.43x, 64 1.33-1.71x, 81 1.63x, 125 1.62x, 128 1.92x.  Starting a
+# thread costs about 0.2 ms, and more while the host takes CPU time away.
+# Above _WORKER_MAX_DIM, a second matrix in flight and the layer's buffer
+# would each add one matrix to an evaluation's traced peak, which is 1.2x
+# one matrix at dim 256 (16^2), so dims 129-361 stay serial, on np.linalg.
+# Only two workers have been measured.  A third would save a sixth of the
+# serial time where the second saves half, for another thread start; and
+# os.sched_getaffinity does not see a cgroup's CPU quota, so without the cap
+# a container given 2 CPUs of a large host would start one per host CPU.
+_WORKER_MIN_DIM = 32
+_WORKER_MAX_DIM = 128
+_MAX_WORKERS = 2
 
 
 @functools.cache
@@ -436,7 +455,6 @@ def _openblas():
     permsep does not pay for it."""
     import ctypes
     import glob
-    import os
 
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
@@ -470,30 +488,208 @@ def _openblas_threads():
     return get, set_
 
 
+# LAPACK routines of numpy's bundled OpenBLAS: (character flags, pointer
+# arguments).  Fortran passes every argument by reference, and the length
+# of each character flag hidden at the end.  The library is ILP64: its
+# integers are 64-bit.
+_LAPACK_ARGUMENTS = {"zpotrf": (1, 4), "zgesdd": (1, 14), "dgesdd": (1, 13), "zheevd": (2, 11)}
+
+
+@functools.cache
+def _lapack(name: str):
+    """The ``ctypes`` function of LAPACK routine ``name`` in numpy's bundled
+    OpenBLAS, or None when there is no such library or the symbol is
+    missing.  ctypes releases the GIL for the duration of each call."""
+    import ctypes
+
+    try:
+        routine = getattr(_openblas(), f"scipy_{name}_64_")
+    except AttributeError:  # also when there is no library
+        return None
+    flags, pointers = _LAPACK_ARGUMENTS[name]
+    routine.argtypes = [ctypes.c_char_p] * flags + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * flags
+    routine.restype = None
+    return routine
+
+
 @functools.cache
 def _openblas_zpotrf():
     """In-place ``zpotrf`` of numpy's bundled OpenBLAS on the upper triangle
     of a C-contiguous complex128 matrix read in Fortran order, returning
     LAPACK's info (0 when the factor exists); or None when there is no such
-    library or the symbol is missing.  The library is ILP64: its integers
-    are 64-bit."""
+    library or the symbol is missing."""
     import ctypes
 
-    try:
-        zpotrf = _openblas().scipy_zpotrf_64_
-    except AttributeError:  # also when there is no library
+    zpotrf = _lapack("zpotrf")
+    if zpotrf is None:
         return None
-    int64 = ctypes.POINTER(ctypes.c_int64)
-    # the trailing size_t is the length of uplo, which Fortran passes hidden
-    zpotrf.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64, ctypes.c_size_t]
-    zpotrf.restype = None
 
     def factor(a: np.ndarray) -> int:
         n, info = ctypes.c_int64(len(a)), ctypes.c_int64(0)
-        zpotrf(b"U", n, a.ctypes.data, n, info, 1)
+        zpotrf(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
         return info.value
 
     return factor
+
+
+# --- the LAPACK layer ------------------------------------------------------------
+#
+# np.linalg keeps the GIL while it decomposes one matrix, so threads over it
+# take turns.  These kernels call the same routines with the same workspace
+# sizes on the same Fortran-order copy of the operand, so their values are
+# bitwise numpy's, but through ctypes, which releases the GIL.  Each thread
+# keeps one operand buffer, which all three routines share, and each
+# routine's workspace, for the last dim it saw.
+
+_SVD_ROUTINES = {np.dtype(np.complex128): "zgesdd", np.dtype(np.float64): "dgesdd"}
+_LAPACK_ERRORS = {
+    "zgesdd": "SVD did not converge",
+    "dgesdd": "SVD did not converge",
+    "zheevd": "Eigenvalues did not converge",
+}
+_lapack_buffers = threading.local()
+
+
+def _lapack_call(name: str, n: int, sizes: tuple[int, ...], buffer: np.ndarray) -> tuple:
+    """(operand, values, integers, arguments, work) for routine ``name`` at
+    dim n with jobz 'N' (and uplo 'L'), with work arrays of the given sizes,
+    or of one element each for -1, LAPACK's workspace query.  The operand is
+    a Fortran-order view of the complex128 buffer of n * n entries, in the
+    routine's dtype.  ``integers`` holds n, lda, the U and VT leading
+    dimension 1, the work sizes and, last, info; ``arguments`` point at these
+    arrays, so the tuple keeps them alive.
+    """
+    dtype = np.float64 if name == "dgesdd" else np.complex128
+    operand = buffer.view(dtype)[: n * n].reshape((n, n), order="F")
+    values = np.empty(n)
+    integers = np.array([n, max(1, n), 1, *sizes, 0], dtype=np.int64)
+    size, lda, one, lwork, *rest = (integers.ctypes.data + 8 * k for k in range(len(integers)))
+    info = rest.pop()
+    head = (size, operand.ctypes.data, lda, values.ctypes.data)
+    if name == "zheevd":
+        work = [np.empty(max(1, k), t) for k, t in zip(sizes, (np.complex128, np.float64, np.int64))]
+        lrwork, liwork = rest
+        arguments = (b"N", b"L", *head, work[0].ctypes.data, lwork,
+                     work[1].ctypes.data, lrwork, work[2].ctypes.data, liwork, info, 1, 1)
+        return operand, values, integers, arguments, work
+    # jobz 'N' reads neither U nor VT; numpy sizes rwork and iwork the same way
+    work = [np.empty(max(1, sizes[0]), dtype)]
+    unused = np.empty(1, dtype)
+    iwork = np.empty(max(1, 8 * n), np.int64)
+    rwork = [np.empty(max(1, 7 * n))] if name == "zgesdd" else []
+    arguments = (b"N", size, *head, unused.ctypes.data, one, unused.ctypes.data, one,
+                 work[0].ctypes.data, lwork, *(r.ctypes.data for r in rwork),
+                 iwork.ctypes.data, info, 1)
+    return operand, values, integers, arguments, work + [unused, iwork, *rwork]
+
+
+@functools.cache
+def _work_sizes(name: str, n: int) -> tuple[int, ...]:
+    """LAPACK's workspace sizes for routine ``name`` at dim n, as numpy reads
+    them: lwork for gesdd, (lwork, lrwork, liwork) for heevd."""
+    queries = 3 if name == "zheevd" else 1
+    buffer = np.empty(n * n, np.complex128)
+    _, _, _, arguments, work = _lapack_call(name, n, (-1,) * queries, buffer)
+    _lapack(name)(*arguments)
+    return tuple(max(1, int(w[0].real)) for w in work[:queries])
+
+
+def _lapack_values(name: str, m: np.ndarray) -> np.ndarray:
+    """The singular values (gesdd) or the eigenvalues of the lower triangle
+    (heevd) of the square m, computed by routine ``name`` in this thread's
+    buffers; raises numpy's LinAlgError when LAPACK's info is not 0."""
+    n = len(m)
+    held = _lapack_buffers.__dict__
+    if held.get("n") != n:
+        held.clear()
+        held.update(n=n, buffer=np.empty(n * n, np.complex128))
+    if name not in held:
+        held[name] = _lapack_call(name, n, _work_sizes(name, n), held["buffer"])
+    operand, values, integers, arguments, _ = held[name]
+    operand[...] = m
+    _lapack(name)(*arguments)
+    if integers[-1]:
+        raise np.linalg.LinAlgError(_LAPACK_ERRORS[name])
+    return values.copy()
+
+
+def _in_window(m: np.ndarray) -> bool:
+    # outside the worker window no thread can gain, so numpy keeps the call
+    return _WORKER_MIN_DIM <= len(m) <= _WORKER_MAX_DIM
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(m, compute_uv=False) of the square m, through the LAPACK
+    layer for complex128 and float64 operands in the worker window."""
+    name = _SVD_ROUTINES.get(m.dtype)
+    if name is None or not _in_window(m) or _lapack(name) is None:
+        return np.linalg.svd(m, compute_uv=False)
+    return _lapack_values(name, m)
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(m) of the square m, through the LAPACK layer for
+    complex128 operands in the worker window."""
+    if m.dtype != np.complex128 or not _in_window(m) or _lapack("zheevd") is None:
+        return np.linalg.eigvalsh(m)
+    return _lapack_values("zheevd", m)
+
+
+def _worker_count(dim: int, orbits: int) -> int:
+    """The threads, the caller included, that share an evaluation's orbits on
+    the one-thread route: up to _MAX_WORKERS, one per usable CPU and at most
+    one per two orbits, for dims in the worker window when every LAPACK
+    kernel is there; else 1."""
+    if not _WORKER_MIN_DIM <= dim <= _WORKER_MAX_DIM:
+        return 1
+    if any(_lapack(name) is None for name in ("zgesdd", "dgesdd", "zheevd")):
+        return 1
+    # a worker with a single orbit to take saves at most that one decomposition
+    # and pays a thread start: at r = 2, with 2 orbits, that lost up to dim 81
+    return max(1, min(_MAX_WORKERS, len(os.sched_getaffinity(0)), orbits // 2))
+
+
+def _share(jobs: list, task, workers: int) -> None:
+    """Run task(job) for every job on ``workers`` threads, the caller one of
+    them, each taking the next job as it finishes one.  An error stops the
+    others at their next job and is re-raised here once all have joined; so
+    is one raised while the caller starts or joins them, a signal included.
+
+    The caller works too, and a job costs one lock: concurrent.futures'
+    ThreadPoolExecutor with two threads, a future per job and the caller
+    waiting, evaluated 1.55x slower than this at dim 32, slower even than
+    the serial route (13.5 against 11.3 ms), and 1.03-1.25x slower at dims
+    64-128 (medians of alternating evaluations, 2-core host).
+    """
+    pending, lock, errors = iter(jobs), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    job = next(pending, None)
+                if job is None:
+                    return
+                task(job)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work, name="permsep-worker")
+            thread.start()
+            started.append(thread)
+        work()
+        for thread in started:
+            thread.join()
+    except BaseException:  # a thread that could not start, or a signal
+        errors.append(None)  # stops the others at their next job
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
 
 
 @contextlib.contextmanager
@@ -501,16 +697,16 @@ def _blas_threads_for(dim: int):
     """Run the block on one OpenBLAS thread when dim <= _ONE_THREAD_MAX_DIM,
     and restore the caller's count afterwards, errors included; larger dims,
     and a BLAS that is not numpy's bundled OpenBLAS, keep the caller's count.
-    Yields the route, for the evaluation's debug record."""
+    Yields whether the block runs on one thread."""
     threads = _openblas_threads() if dim <= _ONE_THREAD_MAX_DIM else None
     if threads is None:
-        yield "blas threads unchanged"
+        yield False
         return
     get, set_ = threads
     caller = get()
     set_(1)
     try:
-        yield "1 blas thread"
+        yield True
     finally:
         set_(caller)
 
@@ -699,6 +895,20 @@ def _real_form(a: np.ndarray, layout: tuple) -> np.ndarray:
     return out
 
 
+def _orbit_norm(herm: DensityMatrix, key: CanonicalKey, rep: Permutation) -> tuple[float, str]:
+    """The norm of the class of rep on the Hermitian herm, and the
+    decomposition it took: "eigvalsh", "real svd" or "svd"."""
+    permuted = apply_permutation(herm, rep)
+    if key.arrow_count == 0:
+        return float(np.abs(_eigenvalues(permuted.entries)).sum()), "eigvalsh"
+    a, pi = permuted.entries, _conjugating_subsystems(rep.images)
+    if pi is not None and not np.may_share_memory(a, herm.entries):
+        # a is this call's own array, so its buffer takes the real form
+        a.setflags(write=True)
+        return trace_norm(_real_form(a, _real_layout(pi, herm.d))), "real svd"
+    return trace_norm(permuted), "svd"
+
+
 def evaluate_criteria(
     rho: DensityMatrix, tolerance: float = VERDICT_TOLERANCE
 ) -> CriterionReport:
@@ -732,6 +942,20 @@ def evaluate_criteria(
     process-wide setting: it is changed for the duration of the call and
     then restored, so another thread that runs BLAS meanwhile runs it on one
     thread, and one that sets the count meanwhile may race with the restore.
+
+    From dim 32 to 128, the orbits to decompose are then shared among
+    min(2, usable CPUs, orbits // 2) threads, the caller one of them, which
+    call LAPACK through ctypes and so decompose without holding the GIL.
+    Each norm is numpy's bit for bit and is stored by its class's index, so
+    the report does not depend on which thread finishes first, and an error
+    in any thread is raised here once all have stopped.  On a 2-core host
+    two workers evaluate 1.4-1.9 times as fast as one there; below dim 32
+    starting a thread costs more than it saves.  More than two workers have
+    not been measured, so none start.  ``apply_permutation`` and
+    ``trace_norm`` are looked up as module globals on each call, so a
+    function put in their place is called from several threads at once and
+    must be thread-safe.  Dims 129 to 361 stay serial: a second matrix in
+    flight would raise an evaluation's peak memory by one matrix.
     """
     _valid_tolerance(tolerance)
     r, m = rho.r, rho.entries
@@ -741,7 +965,8 @@ def evaluate_criteria(
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
     svds = eighs = reals = pure = 0
-    with _blas_threads_for(rho.dim) as threads:
+    workers = 1
+    with _blas_threads_for(rho.dim) as one_thread:
         limit = _PURE_BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
         psi, delta = _pure_vector(herm.entries)
         bound = np.sqrt(rho.dim) * delta
@@ -751,26 +976,20 @@ def evaluate_criteria(
             route = f"bound {bound:.1e} < {limit:.0e}, {schmidt} schmidt svd"
         else:
             route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
-            norms = []
-            for key, rep, partner in plan:
+            firsts = [i for i, (_, _, partner) in enumerate(plan) if partner is None]
+            if one_thread:
+                workers = _worker_count(rho.dim, len(firsts))
+            # stored by plan index, whichever worker finishes first
+            norms, kinds = [0.0] * len(plan), [""] * len(plan)
+
+            def decompose(i: int) -> None:
+                norms[i], kinds[i] = _orbit_norm(herm, *plan[i][:2])
+
+            _share(firsts, decompose, workers)
+            for i, (_, _, partner) in enumerate(plan):
                 if partner is not None:
-                    norm = norms[partner]
-                elif key.arrow_count == 0:
-                    eigenvalues = np.linalg.eigvalsh(apply_permutation(herm, rep).entries)
-                    norm = float(np.abs(eigenvalues).sum())
-                    eighs += 1
-                else:
-                    permuted = apply_permutation(herm, rep)
-                    a, pi = permuted.entries, _conjugating_subsystems(rep.images)
-                    if pi is not None and not np.may_share_memory(a, herm.entries):
-                        # a is this call's own array, so its buffer takes the real form
-                        a.setflags(write=True)
-                        norm = trace_norm(_real_form(a, _real_layout(pi, rho.d)))
-                        reals += 1
-                    else:
-                        norm = trace_norm(permuted)
-                        svds += 1
-                norms.append(norm)
+                    norms[i] = norms[partner]
+            svds, eighs, reals = (kinds.count(kind) for kind in ("svd", "eigvalsh", "real svd"))
     records = tuple(
         ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
     )
@@ -778,9 +997,10 @@ def evaluate_criteria(
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
         "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, "
-        "%d real svd, %d pure (%s), %s",
+        "%d real svd, %d pure (%s), %s, %d worker%s",
         r, rho.d, len(records), svds + eighs + reals + pure, svds, eighs,
-        reals, pure, route, threads,
+        reals, pure, route, "1 blas thread" if one_thread else "blas threads unchanged",
+        workers, "" if workers == 1 else "s",
     )
     return CriterionReport(
         r=r,

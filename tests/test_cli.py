@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from permsep import DensityMatrix, bell_pair_state, maximally_mixed_state, write_state_file
+from permsep import (
+    DensityMatrix, bell_pair_state, maximally_mixed_state, random_state, states, write_state_file,
+)
 from permsep.cli import main
 
 
@@ -273,6 +275,24 @@ class TestEval:
         assert result.exit_code == 3
         assert "non-finite entries: 1 NaN, 0 inf" in result.output
         assert "SVD" not in result.output
+
+    def test_decomposition_failure_in_a_worker_exit_3(self, runner, tmp_path, monkeypatch):
+        # a relabeled matrix that LAPACK cannot decompose: its LinAlgError,
+        # raised in a worker thread, reaches the caller as a data error
+        apply = states.apply_permutation
+
+        def poisoned(rho, sigma):
+            out = apply(rho, sigma).entries.copy()
+            out[0, 0] = np.nan
+            return DensityMatrix(rho.r, rho.d, out)
+
+        path = tmp_path / "random.state"
+        write_state_file(path, random_state(5, 2, seed=1))  # dim 32: two workers
+        monkeypatch.setattr(states, "apply_permutation", poisoned)
+        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: {0, 1})
+        result = invoke(runner, "eval", str(path))
+        assert result.exit_code == 3
+        assert result.output in ("error: SVD did not converge\n", "error: Eigenvalues did not converge\n")
 
     @pytest.mark.filterwarnings("error")
     def test_inf_imaginary_part_counted_once(self, runner, tmp_path):

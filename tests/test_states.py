@@ -3,7 +3,11 @@
 import itertools
 import logging
 import math
+import os
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -453,10 +457,10 @@ class _Messages(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def _evaluation_message(rho: DensityMatrix, tolerance: float = 1e-9) -> str:
-    """evaluate_criteria's debug record, after checking every class norm
-    against the per-class route.  Collects the record with its own handler,
-    since hypothesis runs a test's examples under one caplog fixture."""
+def _logged_evaluation(rho: DensityMatrix, tolerance: float = 1e-9) -> tuple:
+    """evaluate_criteria's report and its one debug record.  Collects the
+    record with its own handler, since hypothesis runs a test's examples
+    under one caplog fixture."""
     log, handler = logging.getLogger("permsep"), _Messages()
     level = log.level
     log.addHandler(handler)
@@ -466,9 +470,16 @@ def _evaluation_message(rho: DensityMatrix, tolerance: float = 1e-9) -> str:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+    (message,) = handler.messages
+    return report, message
+
+
+def _evaluation_message(rho: DensityMatrix, tolerance: float = 1e-9) -> str:
+    """evaluate_criteria's debug record, after checking every class norm
+    against the per-class route."""
+    report, message = _logged_evaluation(rho, tolerance)
     for rec, norm in zip(report.records, _dense_norms(rho)):
         assert _close(rec.norm, norm), rec.key.render()
-    (message,) = handler.messages
     return message
 
 
@@ -542,11 +553,12 @@ class TestOrbitEvaluation:
             evaluate_criteria(bell_pair_state(4, 2, 1, 3))
         records = [rec for rec in caplog.records if rec.name == "permsep"]
         assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
-        # both dims are small, so the route is one thread where it can be set
+        # both dims are small, so the route is one thread where it can be set,
+        # and both are below the worker window
         threads = "1 blas thread" if states._openblas_threads() else "blas threads unchanged"
         assert [rec.getMessage() for rec in records] == [
-            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, 0 real svd, 0 pure (mixed), {threads}",
-            f"evaluate r=4 d=2: 34 classes, 22 orbits, 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), {threads}",
+            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, 0 real svd, 0 pure (mixed), {threads}, 1 worker",
+            f"evaluate r=4 d=2: 34 classes, 22 orbits, 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), {threads}, 1 worker",
         ]
 
     def test_repeat_evaluation_gives_equal_records(self):
@@ -1131,7 +1143,7 @@ class TestBlasThreads:
         with caplog.at_level(logging.DEBUG, logger="permsep"):
             report = evaluate_criteria(rho)
         (record,) = [rec for rec in caplog.records if rec.name == "permsep"]
-        assert record.getMessage().endswith(", blas threads unchanged")
+        assert record.getMessage().endswith(", blas threads unchanged, 1 worker")
         for rec, (_, _, partner) in zip(report.records, states._plan(4)):
             if partner is not None:
                 assert rec.norm == report.records[partner].norm
@@ -1160,6 +1172,237 @@ class TestBlasThreads:
         for rec in report.records:
             want = trace_norm(apply_permutation(rho, rec.representative))
             assert abs(rec.norm - want) <= 1e-12
+
+    @staticmethod
+    def _cpus(monkeypatch, count: int) -> None:
+        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @openblas
+    def test_error_on_the_kth_norm_propagates_from_the_workers(self, monkeypatch):
+        get, set_ = states._openblas_threads()
+        caller, before = get(), threading.active_count()
+        calls, lock, norm = [], threading.Lock(), states.trace_norm
+
+        def failing_norm(operator):
+            with lock:  # the hook is called from several threads
+                calls.append(operator)
+                k = len(calls)
+            if k == 5:
+                raise RuntimeError("decomposition 5 failed")
+            return norm(operator)
+
+        monkeypatch.setattr(states, "trace_norm", failing_norm)
+        self._cpus(monkeypatch, 2)
+        try:
+            set_(2)
+            with pytest.raises(RuntimeError, match="decomposition 5 failed"):
+                evaluate_criteria(random_state(5, 2, seed=1))  # dim 32: two workers
+            assert threading.active_count() == before
+            assert get() == 2
+        finally:
+            set_(caller)
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        rho = random_state(5, 2, seed=1)
+        reference = evaluate_criteria(rho)
+        before, seen, norm = threading.active_count(), [], states.trace_norm
+
+        def recording_norm(operator):
+            seen.append(threading.active_count())
+            return norm(operator)
+
+        monkeypatch.setattr(states, "trace_norm", recording_norm)
+        self._cpus(monkeypatch, 1)
+        report, message = _logged_evaluation(rho)
+        assert seen and set(seen) == {before}
+        assert message.endswith(", 1 worker")
+        assert report == reference
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the RSS from /proc")
+    def test_short_lived_workers_keep_rss_flat(self, monkeypatch):
+        # each evaluation starts and joins a worker thread, whose OpenBLAS
+        # and LAPACK-layer buffers must go with it
+        def rss() -> int:
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        self._cpus(monkeypatch, 2)
+        rho = random_state(5, 2, seed=1)  # the window's lower bound
+        for _ in range(20):
+            evaluate_criteria(rho)
+        before = rss()
+        for _ in range(300):
+            evaluate_criteria(rho)
+        assert rss() - before < 2 * 2**20
+
+
+lapack = pytest.mark.skipif(
+    states._lapack("zgesdd") is None, reason="numpy's BLAS is not its bundled OpenBLAS"
+)
+
+
+def _matrices(n: int, seed: int) -> list[np.ndarray]:
+    """A complex n x n matrix, its Hermitian part, its real part, and
+    operands that are not C-contiguous: a transpose and a strided slice."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
+    square = g[:, :n].copy()
+    return [square, (square + square.conj().T) / 2, square.real.copy(), square.T, g[:, ::2], g.real[:, ::2]]
+
+
+class TestLapackLayer:
+    """The ctypes kernels give np.linalg's values bit for bit, and fail where
+    and as it fails."""
+
+    @lapack
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 31, 32, 64, 100, 127, 128])
+    def test_kernels_are_bitwise_numpy(self, n):
+        for m in _matrices(n, seed=n):
+            name = "zgesdd" if m.dtype == np.complex128 else "dgesdd"
+            want = np.linalg.svd(m, compute_uv=False)
+            assert np.array_equal(states._lapack_values(name, m), want)
+            assert np.array_equal(states._singular_values(m), want)
+            if m.dtype == np.complex128:
+                # eigvalsh reads the lower triangle alone, Hermitian or not
+                want = np.linalg.eigvalsh(m)
+                assert np.array_equal(states._lapack_values("zheevd", m), want)
+                assert np.array_equal(states._eigenvalues(m), want)
+
+    @lapack
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_non_finite_operands_fail_as_numpy_fails(self, value, n):
+        m = np.ones((n, n), dtype=np.complex128)
+        m[n - 1, 0] = m[0, n - 1] = value
+        for name, operand, reference in (
+            ("zgesdd", m, lambda a: np.linalg.svd(a, compute_uv=False)),
+            ("dgesdd", m.real.copy(), lambda a: np.linalg.svd(a, compute_uv=False)),
+            ("zheevd", m, np.linalg.eigvalsh),
+        ):
+            try:
+                want = reference(operand)
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
+                    states._lapack_values(name, operand)
+            else:
+                np.testing.assert_array_equal(states._lapack_values(name, operand), want)
+        if np.isnan(value):
+            with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+                trace_norm(m)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.int8, ">f8", ">c16"])
+    def test_other_dtypes_keep_numpy(self, dtype):
+        m = (np.arange(25).reshape(5, 5) % 7).astype(dtype)
+        want = np.linalg.svd(m, compute_uv=False)
+        got = states._singular_values(m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert trace_norm(m) == float(want.sum())
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 129])
+    def test_numpy_outside_the_window(self, monkeypatch, n):
+        def refuse(name, m):
+            raise AssertionError(f"{name} at dim {len(m)}")
+
+        monkeypatch.setattr(states, "_lapack_values", refuse)
+        m = random_state(2, 12, seed=1).entries[:n, :n]
+        for operand in (m, m.real.copy()):
+            assert np.array_equal(states._singular_values(operand), np.linalg.svd(operand, compute_uv=False))
+        assert np.array_equal(states._eigenvalues(m), np.linalg.eigvalsh(m))
+
+
+# (r, d) in the worker window, then just outside it: dim 27 below, 144 above
+WORKER_SIZES = [(5, 2), (6, 2), (7, 2), (4, 3), (3, 5), (3, 3), (2, 12)]
+
+
+class TestWorkerRoute:
+    """Orbits shared among worker threads give the report of the serial
+    np.linalg route, bit for bit."""
+
+    @lapack
+    @pytest.mark.parametrize("r, d", WORKER_SIZES)
+    @pytest.mark.parametrize("make", [random_state, random_separable_state], ids=["random", "separable"])
+    @settings(property_settings, max_examples=2)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_same_report_as_the_numpy_serial_route(self, r, d, make, seed):
+        rho = make(r, d, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if r == 7:  # every 20th class of r = 7, each decomposed, keeps the example short
+                some = tuple((key, rep, None) for key, rep, _ in states._plan(7)[::20])
+                mp.setattr(states, "_plan", lambda r: some)
+            orbits = sum(1 for _, _, partner in states._plan(r) if partner is None)
+            # more CPUs than the host may have, which start no more workers
+            mp.setattr(states.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+            report, message = _logged_evaluation(rho)
+            mp.setattr(states, "_lapack", lambda name: None)
+            reference, serial = _logged_evaluation(rho)
+        assert report == reference
+        inside = states._WORKER_MIN_DIM <= d**r <= states._WORKER_MAX_DIM
+        workers = min(2, orbits // 2) if inside else 1
+        assert message.endswith(f", 1 blas thread, {workers} worker{'s' * (workers > 1)}")
+        assert serial.endswith(", 1 blas thread, 1 worker")
+
+    def test_share_runs_every_job_once(self):
+        # more workers than cores, switching threads as often as it can
+        done, switch = [], sys.getswitchinterval()
+        runner = threading.Thread(target=states._share, args=(list(range(3000)), done.append, 8))
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert sorted(done) == list(range(3000))
+
+    @lapack
+    def test_at_most_two_workers_on_a_large_host(self, monkeypatch):
+        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert states._worker_count(64, 251) == 2
+        assert states._worker_count(64, 3) == 1
+        assert states._worker_count(27, 251) == states._worker_count(129, 251) == 1
+
+    def test_a_signal_while_joining_stops_the_workers_first(self, monkeypatch):
+        # the caller takes one job and holds it until the worker has taken
+        # the other, so the worker is still busy when the caller joins it
+        before, done, taken = threading.active_count(), [], threading.Event()
+        caller = threading.current_thread()
+
+        def task(job):
+            done.append(job)
+            if threading.current_thread() is caller:
+                assert taken.wait(timeout=30)
+            else:
+                taken.set()
+                time.sleep(0.2)
+
+        joins, join = [], threading.Thread.join
+
+        def interrupted_join(thread, timeout=None):
+            joins.append(thread)
+            if len(joins) == 1:
+                raise KeyboardInterrupt
+            join(thread, timeout)
+
+        monkeypatch.setattr(threading.Thread, "join", interrupted_join)
+        with pytest.raises(KeyboardInterrupt):
+            states._share([0, 1], task, 2)
+        assert threading.active_count() == before
+        assert sorted(done) == [0, 1]
+
+    def test_a_thread_that_cannot_start_stops_the_others(self, monkeypatch):
+        before, done, starts, start = threading.active_count(), [], [], threading.Thread.start
+
+        def failing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            states._share(list(range(1000)), done.append, 3)
+        assert threading.active_count() == before
+        assert len(set(done)) == len(done)
 
 
 class TestPlan:
