@@ -442,11 +442,19 @@ def _reduce_sets(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lower-ranked of the (heads, tails) pair and its flip partner.
 
+    The rank leads with #heads, and a flip turns k heads into r - k, so
+    the set sizes decide unless 2k = r; only then are whole ranks compared.
     Equal ranks mean equal sets, and flipping has no fixed point, so the
     choice is never a tie.
     """
     mine = (tuple(sorted(heads)), tuple(sorted(tails)))
-    return min(mine, _flip_sets(r, *mine), key=_key_rank)
+    twice = 2 * len(mine[0])
+    if twice < r:
+        return mine
+    flipped = _flip_sets(r, *mine)
+    if twice > r:
+        return flipped
+    return min(mine, flipped, key=_key_rank)
 
 
 def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> CanonicalKey:

@@ -12,10 +12,10 @@ from .perms import PermutationParseError, _render_cycles, parse_permutation
 from .arrows import _equivalence, canonicalize
 from .normgroup import (
     MAX_CLASS_R,
-    census_records,
     class_count,
     enumerate_classes,
     representative_permutation,
+    _census_rows,
 )
 from .states import (
     evaluate_criteria,
@@ -131,7 +131,8 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
 def list_classes(subsystems: int, fmt: str) -> None:
     """List the nontrivial criterion classes and the census by type."""
     r = _check_r(subsystems)
-    rows = census_records(r)
+    keys = enumerate_classes(r)
+    rows = _census_rows(r, keys)
     if fmt == "csv":
         for row in rows:
             click.echo(
@@ -143,7 +144,7 @@ def list_classes(subsystems: int, fmt: str) -> None:
     click.echo(f"r={r}: {total} classes, {total - 1} nontrivial criteria")
     click.echo("")
     click.echo(f"{'a':>3} {'l':>3}  {'label':<8} {'key':<28} representative")
-    for key in enumerate_classes(r):
+    for key in keys:
         if key.is_trivial:
             continue
         rep = representative_permutation(key)

@@ -161,8 +161,13 @@ def census_records(r: int) -> list[CensusRow]:
     """Nontrivial class counts grouped by the reduced representative's
     structural type; the flip partner's type rides along since one class
     can be displayed in either form."""
+    return _census_rows(r, enumerate_classes(r))
+
+
+def _census_rows(r: int, keys: list[CanonicalKey]) -> list[CensusRow]:
+    """``census_records`` of the enumerated classes ``keys`` of r."""
     groups: dict[tuple[int, int], list[CanonicalKey]] = {}
-    for key in enumerate_classes(r):
+    for key in keys:
         if not key.is_trivial:
             groups.setdefault((key.arrow_count, key.loop_count), []).append(key)
     rows = []

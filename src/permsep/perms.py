@@ -192,15 +192,66 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     ``degree`` is explicit and never inferred from the text (cycle strings
     omit fixed points).  Unnamed points stay fixed.  "()" and the empty
     string both denote the identity.  Blanks may sit between any two tokens.
+
+    Blank-free ASCII cycle text, the form ``str(Permutation)`` writes, is
+    read with str methods (``_read_cycles``); all other text, and every
+    fault, goes to the token walker, which alone reports errors.  Both
+    routes give the same images for the text they both accept.
     """
     _check_integer("degree", degree)
     if degree < 2 or degree % 2 != 0:
         raise PermutationParseError(
             f"degree must be a positive even integer, got {degree}"
         )
+    images = _read_cycles(text, degree)
+    if images is not None:
+        return Permutation(tuple(images))
+    return _walk(text, degree)
+
+
+def _walk(text: str, degree: int) -> Permutation:
+    """The token walker: reads either grammar and reports every fault."""
     tokens = _TOKEN.findall(text) + [""]  # "" marks the end of the input
     parse = _parse_one_line if tokens[0] == "[" else _parse_cycles
     return parse(text, tokens, degree, len(str(degree)))
+
+
+def _read_cycles(text: str, degree: int) -> list[int] | None:
+    """Images of blank-free ASCII cycle text, or None for the walker.
+
+    Returns None, without raising, unless every cycle is "()" or names at
+    least two points, and every point is a digit run no longer than the
+    digits of degree, lies in 1..degree and is named once in the whole
+    text.  Repeats are checked on the points, not on the images:
+    "(1,2)(2,1)" composes to a bijection, but the walker rejects it.
+    """
+    if not (isinstance(text, str) and text[:1] == "(" and text[-1:] == ")"):
+        return None
+    if not text.isascii():  # str.isdigit also takes '²' and '٣'
+        return None
+    width = len(str(degree))
+    cycles = []
+    for body in text[1:-1].split(")("):
+        if body:
+            parts = body.split(",")
+            if len(parts) < 2:
+                return None
+            for p in parts:
+                if not p.isdigit() or len(p) > width:
+                    return None
+            cycles.append(list(map(int, parts)))
+    points = [p for cycle in cycles for p in cycle]
+    if points and (
+        min(points) < 1 or max(points) > degree or len(set(points)) != len(points)
+    ):
+        return None
+    images = list(range(1, degree + 1))
+    for cycle in cycles:
+        last = cycle[-1]
+        for p in cycle:
+            images[last - 1] = p
+            last = p
+    return images
 
 
 def _error(text: str, k: int, message: str) -> PermutationParseError:

@@ -33,7 +33,8 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep.arrows import _exchanged, _flip_sets, _transpose_key, key_of_configuration
+from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _transpose_key
+from permsep.arrows import key_of_configuration
 from conftest import (
     coset_partition_bruteforce,
     parity_profile,
@@ -162,6 +163,29 @@ class TestFlip:
                 for heads in itertools.combinations(subsystems, k):
                     for tails in itertools.combinations(subsystems, k):
                         assert _flip_sets(r, heads, tails) != (heads, tails)
+
+    def test_reduction_is_the_lower_ranked_partner(self):
+        # oracle without the set-size shortcut: build the complement pair,
+        # then take the minimum by (#heads, tails, heads).  canonical_key
+        # and the CanonicalKey check both call _reduce_sets, so only an
+        # oracle outside it can catch a wrong shortcut.
+        ties = 0
+        for r in range(1, 8):
+            subsystems = range(1, r + 1)
+            for k in range(r + 1):
+                for heads in itertools.combinations(subsystems, k):
+                    for tails in itertools.combinations(subsystems, k):
+                        flipped = (
+                            tuple(s for s in subsystems if s not in heads),
+                            tuple(s for s in subsystems if s not in tails),
+                        )
+                        want = min(
+                            (heads, tails), flipped, key=lambda p: (len(p[0]), p[1], p[0])
+                        )
+                        assert _reduce_sets(r, heads, tails) == want
+                        assert _reduce_sets(r, reversed(heads), set(tails)) == want
+                        ties += 2 * k == r
+        assert ties == sum(math.comb(r, r // 2) ** 2 for r in (2, 4, 6))
 
 
 def _all_valid_configs(r):

@@ -18,12 +18,42 @@ from permsep import (
     parse_permutation,
     permutation_from_cycles,
 )
+from permsep.perms import _read_cycles, _walk
 from conftest import permutations_of_degree, property_settings, random_permutation
 
 # the grammar's characters, blanks that str.isspace accepts, and digits
 # that only Unicode calls digits
 _PARSE_ALPHABET = st.sampled_from(list("0123456789()[], \t\nx") + ["\xa0", "²", "٣", "２"])
 _FOUND = re.compile(r"found (.+) \(at position \d+\)$")
+# what a fault injected into blank-free cycle text may insert
+_FAULT = st.sampled_from(list("0123456789(),[] ") + ["00", ")(", "²", "\xa0"])
+
+
+def _outcome(parse, text, degree):
+    """The images, or the error's message and position."""
+    try:
+        return parse(text, degree).images
+    except PermutationParseError as exc:
+        return str(exc), exc.position
+
+
+@st.composite
+def _faulty_cycle_text(draw):
+    """str() of a random permutation, with at most one fault injected, and
+    a degree of 2..24 that may be too small for its points."""
+    r = draw(st.integers(1, 12))
+    text = str(draw(permutations_of_degree(r)))
+    i = draw(st.integers(0, len(text)))
+    fault = draw(st.sampled_from(["none", "insert", "delete", "replace", "append"]))
+    if fault == "insert":
+        text = text[:i] + draw(_FAULT) + text[i:]
+    elif fault == "delete":
+        text = text[:i] + text[i + 1 :]
+    elif fault == "replace":
+        text = text[:i] + draw(_FAULT) + text[i + 1 :]
+    elif fault == "append":  # cycles that repeat points of the first ones
+        text += str(draw(permutations_of_degree(r)))
+    return text, draw(st.integers(max(1, r - 1), min(12, r + 1))) * 2
 
 
 class TestParse:
@@ -132,6 +162,56 @@ class TestParse:
         one_line = "[" + " ".join(map(str, p.images)) + "]"
         assert parse_permutation(str(p), p.degree) == p
         assert parse_permutation(one_line, p.degree) == p
+
+    @pytest.mark.parametrize(
+        "text, degree",
+        [
+            ("(1,2)(2,1)", 4),  # composes to a bijection, names 2 twice
+            ("(1,2,1)", 4),
+            ("(005,1)", 4),
+            ("(01,2)", 4),  # longer than the digits of 4, still in range
+            ("(01,2)", 10),
+            ("()()", 4),
+            ("(1,2)()", 4),
+            ("(3)", 4),
+            ("(1,,2)", 4),
+            ("(,1,2)", 4),
+            ("(1,2,)", 4),
+            ("((1,2))", 4),
+            ("(1,2)(3,4", 4),
+            ("(1,²)", 4),
+            ("(" + "1" * 5000 + ",2)", 4),
+            ("(1,2)(3,4)", np.int64(4)),
+        ],
+    )
+    def test_str_route_agrees_with_the_walker(self, text, degree):
+        assert _outcome(parse_permutation, text, degree) == _outcome(_walk, text, degree)
+
+    def test_str_route_leaves_faults_to_the_walker(self):
+        with pytest.raises(PermutationParseError, match=r"^duplicate point 2 \(at position 6\)$"):
+            parse_permutation("(1,2)(2,1)", 4)
+        for text in ("(1,2)(2,1)", "(1,2,1)", "(005,1)", "(3)", "(1,,2)", "(1,²)", "(0,1)"):
+            assert _read_cycles(text, 4) is None
+        assert _read_cycles("(01,2)", 10) == [2, 1, 3, 4, 5, 6, 7, 8, 9, 10]
+        assert _read_cycles("()()", 2) == [1, 2]
+
+    @property_settings
+    @given(st.integers(1, 12).flatmap(permutations_of_degree))
+    def test_str_route_reads_rendered_text(self, p):
+        assert _read_cycles(str(p), p.degree) == list(p.images)
+
+    @property_settings
+    @given(
+        st.one_of(
+            st.tuples(
+                st.text(_PARSE_ALPHABET, max_size=24), st.integers(1, 12).map(lambda r: 2 * r)
+            ),
+            _faulty_cycle_text(),
+        )
+    )
+    def test_same_images_and_errors_as_the_walker(self, case):
+        text, degree = case
+        assert _outcome(parse_permutation, text, degree) == _outcome(_walk, text, degree)
 
     def test_degree_never_inferred(self):
         p = parse_permutation("(1,2)", 8)
