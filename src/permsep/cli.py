@@ -236,7 +236,7 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
 
 
 @main.command()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True)
 @click.option(
     "--only",
     "only",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .perms import Permutation, global_transpose, identity, permutation_from_cycles
 from .perms import _check_integer, _parity_kind
 from .arrows import CanonicalKey, canonical_key, type_label
-from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
+from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduce_sets, _reduced_key
 
 __all__ = [
     "is_norm_preserving",
@@ -114,23 +114,25 @@ def class_count(r: int) -> int:
 
 
 def enumerate_classes(r: int) -> list[CanonicalKey]:
-    """One key per flip-reduced (heads, tails) pair, trivial included.
+    """One key per flip-reduced (heads, tails) pair, trivial included, in
+    rank order (#arrows + #loops, tails, heads).
 
-    Enumerates the C(2r, r) head/tail set pairs rather than the (2r)!
-    permutations, keeps the flip-reduced member of each pair, and sorts by
-    (#arrows + #loops, tails, heads).
+    A flip turns k heads into r - k, so pairs with 2k < r are reduced and
+    pairs with 2k > r are not; at 2k = r ``_reduce_sets`` decides.  Sets
+    from ``itertools.combinations`` come in lexicographic order, so k,
+    then tails, then heads is rank order, and no set or sort is needed.
     """
     _check_integer("r", r)
     if not 1 <= r <= MAX_CLASS_R:
         raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {r}")
     subsystems = range(1, r + 1)
-    keys = {
+    out = [
         _reduced_key(r, heads, tails)
-        for k in range(r + 1)
-        for heads in itertools.combinations(subsystems, k)
+        for k in range(r // 2 + 1)
         for tails in itertools.combinations(subsystems, k)
-    }
-    out = sorted(keys, key=lambda key: key.rank)
+        for heads in itertools.combinations(subsystems, k)
+        if 2 * k < r or _reduce_sets(r, heads, tails) == (heads, tails)
+    ]
     if len(out) != class_count(r):
         raise RuntimeError(
             f"enumerated {len(out)} classes for r={r}, expected {class_count(r)}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -322,6 +323,9 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 def run_checks(
     names: list[str] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
+    # a bad seed would fail the seeded checks one by one, as if the library were broken
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     selected = names or CHECK_NAMES
     unknown = [n for n in selected if n not in CHECK_NAMES]
     if unknown:

@@ -14,12 +14,9 @@ most 1, so any value above 1 certifies entanglement.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import logging
-import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -28,6 +25,8 @@ import numpy as np
 from .perms import Permutation, _check_integer
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _transpose_key
+from ._lapack import _blas_threads_for, _eigenvalues, _factor_in_place, _share
+from ._lapack import _singular_values, _worker_count
 
 __all__ = [
     "MAX_DIM",
@@ -104,26 +103,6 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
     if not _factor_in_place(shifted):
         return float(np.min(np.linalg.eigvalsh(m))), "eigvalsh"
     return None, "cholesky"
-
-
-def _factor_in_place(a: np.ndarray) -> bool:
-    """Whether the Hermitian C-contiguous a has a Cholesky factor, read from
-    its lower triangle; a is overwritten.
-
-    LAPACK's zpotrf from numpy's bundled OpenBLAS factors a in its own
-    buffer.  It reads a in Fortran order, as conj(a), which has a factor
-    exactly when a has, and whose upper triangle is a's lower one.  Without
-    that symbol, ``np.linalg.cholesky`` decides, at the cost of a factor
-    that is thrown away.
-    """
-    zpotrf = _openblas_zpotrf()
-    if zpotrf is None:
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-    return zpotrf(a) == 0
 
 
 def _check_dims(r: int, d: int) -> int:
@@ -426,291 +405,6 @@ def _valid_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-# One OpenBLAS thread beats two on SVDs up to dim 361 (19^2) and loses from
-# dim 400 (20^2) on, measured on a 2-core host; no d^r lies in between.
-_ONE_THREAD_MAX_DIM = 361
-# On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
-# evaluation's orbits among up to _MAX_WORKERS threads, since the LAPACK
-# layer below releases the GIL, which np.linalg holds for one matrix up to
-# dim 256 at least.  Two workers against the serial route, medians of
-# alternating evaluations on a 2-core host: dim 8 0.29x, 16 0.51x, 27 0.81x;
-# 32 1.43x, 64 1.33-1.71x, 81 1.63x, 125 1.62x, 128 1.92x.  Starting a
-# thread costs about 0.2 ms, and more while the host takes CPU time away.
-# Above _WORKER_MAX_DIM, a second matrix in flight and the layer's buffer
-# would each add one matrix to an evaluation's traced peak, which is 1.2x
-# one matrix at dim 256 (16^2), so dims 129-361 stay serial, on np.linalg.
-# Only two workers have been measured.  A third would save a sixth of the
-# serial time where the second saves half, for another thread start; and
-# os.sched_getaffinity does not see a cgroup's CPU quota, so without the cap
-# a container given 2 CPUs of a large host would start one per host CPU.
-_WORKER_MIN_DIM = 32
-_WORKER_MAX_DIM = 128
-_MAX_WORKERS = 2
-
-
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS as a ``ctypes`` library, or None when numpy's
-    BLAS is not scipy-openblas.  Looked up on first use, so that importing
-    permsep does not pay for it."""
-    import ctypes
-    import glob
-
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except (KeyError, TypeError):
-        return None
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    libs = glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas*.so*"))
-    if blas != "scipy-openblas" or len(libs) != 1:
-        return None
-    try:
-        # numpy has loaded this file already, so dlopen returns numpy's copy
-        return ctypes.CDLL(libs[0])
-    except OSError:
-        return None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
-    when there is no such library or the symbols are missing."""
-    import ctypes
-
-    lib = _openblas()
-    try:
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # also when lib is None
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-# LAPACK routines of numpy's bundled OpenBLAS: (character flags, pointer
-# arguments).  Fortran passes every argument by reference, and the length
-# of each character flag hidden at the end.  The library is ILP64: its
-# integers are 64-bit.
-_LAPACK_ARGUMENTS = {"zpotrf": (1, 4), "zgesdd": (1, 14), "dgesdd": (1, 13), "zheevd": (2, 11)}
-
-
-@functools.cache
-def _lapack(name: str):
-    """The ``ctypes`` function of LAPACK routine ``name`` in numpy's bundled
-    OpenBLAS, or None when there is no such library or the symbol is
-    missing.  ctypes releases the GIL for the duration of each call."""
-    import ctypes
-
-    try:
-        routine = getattr(_openblas(), f"scipy_{name}_64_")
-    except AttributeError:  # also when there is no library
-        return None
-    flags, pointers = _LAPACK_ARGUMENTS[name]
-    routine.argtypes = [ctypes.c_char_p] * flags + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * flags
-    routine.restype = None
-    return routine
-
-
-@functools.cache
-def _openblas_zpotrf():
-    """In-place ``zpotrf`` of numpy's bundled OpenBLAS on the upper triangle
-    of a C-contiguous complex128 matrix read in Fortran order, returning
-    LAPACK's info (0 when the factor exists); or None when there is no such
-    library or the symbol is missing."""
-    import ctypes
-
-    zpotrf = _lapack("zpotrf")
-    if zpotrf is None:
-        return None
-
-    def factor(a: np.ndarray) -> int:
-        n, info = ctypes.c_int64(len(a)), ctypes.c_int64(0)
-        zpotrf(b"U", ctypes.byref(n), a.ctypes.data, ctypes.byref(n), ctypes.byref(info), 1)
-        return info.value
-
-    return factor
-
-
-# --- the LAPACK layer ------------------------------------------------------------
-#
-# np.linalg keeps the GIL while it decomposes one matrix, so threads over it
-# take turns.  These kernels call the same routines with the same workspace
-# sizes on the same Fortran-order copy of the operand, so their values are
-# bitwise numpy's, but through ctypes, which releases the GIL.  Each thread
-# keeps one operand buffer, which all three routines share, and each
-# routine's workspace, for the last dim it saw.
-
-_SVD_ROUTINES = {np.dtype(np.complex128): "zgesdd", np.dtype(np.float64): "dgesdd"}
-_LAPACK_ERRORS = {
-    "zgesdd": "SVD did not converge",
-    "dgesdd": "SVD did not converge",
-    "zheevd": "Eigenvalues did not converge",
-}
-_lapack_buffers = threading.local()
-
-
-def _lapack_call(name: str, n: int, sizes: tuple[int, ...], buffer: np.ndarray) -> tuple:
-    """(operand, values, integers, arguments, work) for routine ``name`` at
-    dim n with jobz 'N' (and uplo 'L'), with work arrays of the given sizes,
-    or of one element each for -1, LAPACK's workspace query.  The operand is
-    a Fortran-order view of the complex128 buffer of n * n entries, in the
-    routine's dtype.  ``integers`` holds n, lda, the U and VT leading
-    dimension 1, the work sizes and, last, info; ``arguments`` point at these
-    arrays, so the tuple keeps them alive.
-    """
-    dtype = np.float64 if name == "dgesdd" else np.complex128
-    operand = buffer.view(dtype)[: n * n].reshape((n, n), order="F")
-    values = np.empty(n)
-    integers = np.array([n, max(1, n), 1, *sizes, 0], dtype=np.int64)
-    size, lda, one, lwork, *rest = (integers.ctypes.data + 8 * k for k in range(len(integers)))
-    info = rest.pop()
-    head = (size, operand.ctypes.data, lda, values.ctypes.data)
-    if name == "zheevd":
-        work = [np.empty(max(1, k), t) for k, t in zip(sizes, (np.complex128, np.float64, np.int64))]
-        lrwork, liwork = rest
-        arguments = (b"N", b"L", *head, work[0].ctypes.data, lwork,
-                     work[1].ctypes.data, lrwork, work[2].ctypes.data, liwork, info, 1, 1)
-        return operand, values, integers, arguments, work
-    # jobz 'N' reads neither U nor VT; numpy sizes rwork and iwork the same way
-    work = [np.empty(max(1, sizes[0]), dtype)]
-    unused = np.empty(1, dtype)
-    iwork = np.empty(max(1, 8 * n), np.int64)
-    rwork = [np.empty(max(1, 7 * n))] if name == "zgesdd" else []
-    arguments = (b"N", size, *head, unused.ctypes.data, one, unused.ctypes.data, one,
-                 work[0].ctypes.data, lwork, *(r.ctypes.data for r in rwork),
-                 iwork.ctypes.data, info, 1)
-    return operand, values, integers, arguments, work + [unused, iwork, *rwork]
-
-
-@functools.cache
-def _work_sizes(name: str, n: int) -> tuple[int, ...]:
-    """LAPACK's workspace sizes for routine ``name`` at dim n, as numpy reads
-    them: lwork for gesdd, (lwork, lrwork, liwork) for heevd."""
-    queries = 3 if name == "zheevd" else 1
-    buffer = np.empty(n * n, np.complex128)
-    _, _, _, arguments, work = _lapack_call(name, n, (-1,) * queries, buffer)
-    _lapack(name)(*arguments)
-    return tuple(max(1, int(w[0].real)) for w in work[:queries])
-
-
-def _lapack_values(name: str, m: np.ndarray) -> np.ndarray:
-    """The singular values (gesdd) or the eigenvalues of the lower triangle
-    (heevd) of the square m, computed by routine ``name`` in this thread's
-    buffers; raises numpy's LinAlgError when LAPACK's info is not 0."""
-    n = len(m)
-    held = _lapack_buffers.__dict__
-    if held.get("n") != n:
-        held.clear()
-        held.update(n=n, buffer=np.empty(n * n, np.complex128))
-    if name not in held:
-        held[name] = _lapack_call(name, n, _work_sizes(name, n), held["buffer"])
-    operand, values, integers, arguments, _ = held[name]
-    operand[...] = m
-    _lapack(name)(*arguments)
-    if integers[-1]:
-        raise np.linalg.LinAlgError(_LAPACK_ERRORS[name])
-    return values.copy()
-
-
-def _in_window(m: np.ndarray) -> bool:
-    # outside the worker window no thread can gain, so numpy keeps the call
-    return _WORKER_MIN_DIM <= len(m) <= _WORKER_MAX_DIM
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """np.linalg.svd(m, compute_uv=False) of the square m, through the LAPACK
-    layer for complex128 and float64 operands in the worker window."""
-    name = _SVD_ROUTINES.get(m.dtype)
-    if name is None or not _in_window(m) or _lapack(name) is None:
-        return np.linalg.svd(m, compute_uv=False)
-    return _lapack_values(name, m)
-
-
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(m) of the square m, through the LAPACK layer for
-    complex128 operands in the worker window."""
-    if m.dtype != np.complex128 or not _in_window(m) or _lapack("zheevd") is None:
-        return np.linalg.eigvalsh(m)
-    return _lapack_values("zheevd", m)
-
-
-def _worker_count(dim: int, orbits: int) -> int:
-    """The threads, the caller included, that share an evaluation's orbits on
-    the one-thread route: up to _MAX_WORKERS, one per usable CPU and at most
-    one per two orbits, for dims in the worker window when every LAPACK
-    kernel is there; else 1."""
-    if not _WORKER_MIN_DIM <= dim <= _WORKER_MAX_DIM:
-        return 1
-    if any(_lapack(name) is None for name in ("zgesdd", "dgesdd", "zheevd")):
-        return 1
-    # a worker with a single orbit to take saves at most that one decomposition
-    # and pays a thread start: at r = 2, with 2 orbits, that lost up to dim 81
-    return max(1, min(_MAX_WORKERS, len(os.sched_getaffinity(0)), orbits // 2))
-
-
-def _share(jobs: list, task, workers: int) -> None:
-    """Run task(job) for every job on ``workers`` threads, the caller one of
-    them, each taking the next job as it finishes one.  An error stops the
-    others at their next job and is re-raised here once all have joined; so
-    is one raised while the caller starts or joins them, a signal included.
-
-    The caller works too, and a job costs one lock: concurrent.futures'
-    ThreadPoolExecutor with two threads, a future per job and the caller
-    waiting, evaluated 1.55x slower than this at dim 32, slower even than
-    the serial route (13.5 against 11.3 ms), and 1.03-1.25x slower at dims
-    64-128 (medians of alternating evaluations, 2-core host).
-    """
-    pending, lock, errors = iter(jobs), threading.Lock(), []
-
-    def work() -> None:
-        try:
-            while not errors:
-                with lock:
-                    job = next(pending, None)
-                if job is None:
-                    return
-                task(job)
-        except BaseException as exc:  # re-raised in the caller below
-            errors.append(exc)
-
-    started = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work, name="permsep-worker")
-            thread.start()
-            started.append(thread)
-        work()
-        for thread in started:
-            thread.join()
-    except BaseException:  # a thread that could not start, or a signal
-        errors.append(None)  # stops the others at their next job
-        for thread in started:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-
-
-@contextlib.contextmanager
-def _blas_threads_for(dim: int):
-    """Run the block on one OpenBLAS thread when dim <= _ONE_THREAD_MAX_DIM,
-    and restore the caller's count afterwards, errors included; larger dims,
-    and a BLAS that is not numpy's bundled OpenBLAS, keep the caller's count.
-    Yields whether the block runs on one thread."""
-    threads = _openblas_threads() if dim <= _ONE_THREAD_MAX_DIM else None
-    if threads is None:
-        yield False
-        return
-    get, set_ = threads
-    caller = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(caller)
-
-
 @functools.cache
 def _plan(r: int) -> tuple[tuple[CanonicalKey, Permutation, int | None], ...]:
     """(key, representative, partner) of every nontrivial class at r, in
@@ -763,8 +457,10 @@ def _pure_vector(m: np.ndarray) -> tuple[np.ndarray | None, float]:
     return psi, float(np.sqrt(square))
 
 
-def _factored_norms(plan, psi: np.ndarray, r: int, d: int) -> tuple[list[float], int]:
-    """The plan's class norms of psi psi^dagger, and the SVDs they took.
+def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
+    """orbit(key, rep) -> (norm, "pure") for the class norms of psi psi^dagger,
+    and the Schmidt sums it fills, by row subsystems; a plain dict, so that
+    orbit runs on one thread.
 
     Under sigma, the psi subscript of subsystem k lands on an output row
     when sigma(2k - 1) is odd, and its conjugate's when sigma(2k) is.  With
@@ -795,16 +491,13 @@ def _factored_norms(plan, psi: np.ndarray, r: int, d: int) -> tuple[list[float],
                 sums[rows] = trace_norm(square)
         return sums[rows]
 
-    norms: list[float] = []
-    for _, rep, partner in plan:
-        if partner is not None:
-            norms.append(norms[partner])
-            continue
+    def orbit(key: CanonicalKey, rep: Permutation) -> tuple[float, str]:
         images = rep.images
         kets = frozenset(k for k in range(r) if images[2 * k] % 2)
         bras = frozenset(k for k in range(r) if images[2 * k + 1] % 2)
-        norms.append(schmidt(kets) * schmidt(bras))
-    return norms, sum(1 for rows in sums if rows)
+        return schmidt(kets) * schmidt(bras), "pure"
+
+    return orbit, sums
 
 
 @functools.cache
@@ -943,19 +636,16 @@ def evaluate_criteria(
     then restored, so another thread that runs BLAS meanwhile runs it on one
     thread, and one that sets the count meanwhile may race with the restore.
 
-    From dim 32 to 128, the orbits to decompose are then shared among
-    min(2, usable CPUs, orbits // 2) threads, the caller one of them, which
-    call LAPACK through ctypes and so decompose without holding the GIL.
-    Each norm is numpy's bit for bit and is stored by its class's index, so
-    the report does not depend on which thread finishes first, and an error
-    in any thread is raised here once all have stopped.  On a 2-core host
-    two workers evaluate 1.4-1.9 times as fast as one there; below dim 32
-    starting a thread costs more than it saves.  More than two workers have
-    not been measured, so none start.  ``apply_permutation`` and
-    ``trace_norm`` are looked up as module globals on each call, so a
-    function put in their place is called from several threads at once and
-    must be thread-safe.  Dims 129 to 361 stay serial: a second matrix in
-    flight would raise an evaluation's peak memory by one matrix.
+    From dim 32 to 128, the orbits of a state off the pure route are then
+    shared among min(2, usable CPUs, orbits // 2) threads, the caller one of
+    them, which call LAPACK without holding the GIL; ``permsep._lapack``
+    holds that policy and its measurements.  Each norm is numpy's bit for
+    bit and is stored by its class's index, so the report does not depend
+    on which thread finishes first, and an error in any thread is raised
+    here once all have stopped.  ``apply_permutation`` and ``trace_norm``
+    are looked up as module globals on each call, so a function put in
+    their place is called from several threads at once and must be
+    thread-safe.
     """
     _valid_tolerance(tolerance)
     r, m = rho.r, rho.entries
@@ -964,32 +654,31 @@ def evaluate_criteria(
     herm = rho
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
-    svds = eighs = reals = pure = 0
-    workers = 1
+    firsts = [i for i, (_, _, partner) in enumerate(plan) if partner is None]
+    workers, sums = 1, None
     with _blas_threads_for(rho.dim) as one_thread:
         limit = _PURE_BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
         psi, delta = _pure_vector(herm.entries)
         bound = np.sqrt(rho.dim) * delta
         if psi is not None and bound < limit:
-            norms, schmidt = _factored_norms(plan, psi, r, rho.d)
-            pure = sum(1 for _, _, partner in plan if partner is None)
-            route = f"bound {bound:.1e} < {limit:.0e}, {schmidt} schmidt svd"
+            orbit, sums = _factored_norms(psi, r, rho.d)
+            route = f"bound {bound:.1e} < {limit:.0e}"
         else:
+            orbit = functools.partial(_orbit_norm, herm)
             route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
-            firsts = [i for i, (_, _, partner) in enumerate(plan) if partner is None]
             if one_thread:
                 workers = _worker_count(rho.dim, len(firsts))
-            # stored by plan index, whichever worker finishes first
-            norms, kinds = [0.0] * len(plan), [""] * len(plan)
+        # (norm, route) by plan index, whichever worker finishes first
+        done: list[tuple[float, str] | None] = [None] * len(plan)
 
-            def decompose(i: int) -> None:
-                norms[i], kinds[i] = _orbit_norm(herm, *plan[i][:2])
+        def decompose(i: int) -> None:
+            done[i] = orbit(*plan[i][:2])
 
-            _share(firsts, decompose, workers)
-            for i, (_, _, partner) in enumerate(plan):
-                if partner is not None:
-                    norms[i] = norms[partner]
-            svds, eighs, reals = (kinds.count(kind) for kind in ("svd", "eigvalsh", "real svd"))
+        _share(firsts, decompose, workers)
+    norms = [done[i if partner is None else partner][0] for i, (_, _, partner) in enumerate(plan)]
+    routes = [done[i][1] for i in firsts]
+    if sums is not None:
+        route += f", {sum(1 for rows in sums if rows)} schmidt svd"
     records = tuple(
         ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
     )
@@ -998,8 +687,9 @@ def evaluate_criteria(
     _log.debug(
         "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, "
         "%d real svd, %d pure (%s), %s, %d worker%s",
-        r, rho.d, len(records), svds + eighs + reals + pure, svds, eighs,
-        reals, pure, route, "1 blas thread" if one_thread else "blas threads unchanged",
+        r, rho.d, len(records), len(routes),
+        *map(routes.count, ("svd", "eigvalsh", "real svd", "pure")),
+        route, "1 blas thread" if one_thread else "blas threads unchanged",
         workers, "" if workers == 1 else "s",
     )
     return CriterionReport(

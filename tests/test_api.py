@@ -3,6 +3,7 @@ resolves, and the modules import one another in one direction only."""
 
 import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_all_entries_resolve(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(open(permsep.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(permsep.__file__).read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
     for node in imports:
@@ -28,13 +29,13 @@ def test_package_imports_resolve():
 
 
 # each module imports only the modules listed before it
-LAYERS = ["perms", "arrows", "normgroup", "states", "selftest", "cli"]
+LAYERS = ["_lapack", "perms", "arrows", "normgroup", "states", "selftest", "cli"]
 
 
 @pytest.mark.parametrize("index", range(len(LAYERS)), ids=LAYERS)
 def test_modules_import_only_earlier_layers(index):
     mod = importlib.import_module(f"permsep.{LAYERS[index]}")
-    tree = ast.parse(open(mod.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(mod.__file__).read_text(encoding="utf-8"))
     # ast.walk also sees imports inside functions
     imported = {
         node.module

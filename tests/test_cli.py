@@ -5,9 +5,11 @@ import pytest
 from click.testing import CliRunner
 
 from permsep import (
-    DensityMatrix, bell_pair_state, maximally_mixed_state, random_state, states, write_state_file,
+    DensityMatrix, _lapack, bell_pair_state, maximally_mixed_state, random_state, states, write_state_file,
 )
+from permsep import selftest
 from permsep.cli import main
+from permsep.selftest import CHECK_NAMES
 
 
 @pytest.fixture()
@@ -289,8 +291,11 @@ class TestEval:
         path = tmp_path / "random.state"
         write_state_file(path, random_state(5, 2, seed=1))  # dim 32: two workers
         monkeypatch.setattr(states, "apply_permutation", poisoned)
-        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1})
+        workers, share = [], states._share
+        monkeypatch.setattr(states, "_share", lambda jobs, task, n: workers.append(n) or share(jobs, task, n))
         result = invoke(runner, "eval", str(path))
+        assert workers == ([2] if _lapack._lapack("zgesdd") else [1])
         assert result.exit_code == 3
         assert result.output in ("error: SVD did not converge\n", "error: Eigenvalues did not converge\n")
 
@@ -397,3 +402,19 @@ class TestSelftest:
 
     def test_unknown_check_rejected(self, runner):
         assert invoke(runner, "selftest", "--only", "nope").exit_code == 2
+
+    def test_negative_seed_is_a_usage_error(self, runner):
+        result = invoke(runner, "selftest", "--seed", "-1")
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+        assert "checks passed" not in result.output
+        assert invoke(runner, "selftest", "--seed", "0", "--only", "worked-example").exit_code == 0
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
+    def test_bad_seed_raises_before_any_check(self, monkeypatch, seed):
+        ran = []
+        checks = [(name, lambda s, name=name: ran.append(name) or (True, "")) for name in CHECK_NAMES]
+        monkeypatch.setattr(selftest, "_CHECKS", checks)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            selftest.run_checks(seed=seed)
+        assert ran == []

@@ -25,6 +25,7 @@ from permsep import (
     representative_permutation,
     type_label,
 )
+from permsep.arrows import _reduced_key
 from permsep.normgroup import _parity_filter
 from conftest import random_permutation
 
@@ -124,6 +125,21 @@ class TestEnumerateClasses:
             assert ranks == sorted(ranks)
             for key in keys:
                 assert 2 * key.arrow_count + key.loop_count <= r
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_same_keys_as_set_and_sort(self, r):
+        # the earlier enumeration: reduce all C(2r, r) pairs, drop the
+        # duplicates through a set, and sort by rank
+        subsystems = range(1, r + 1)
+        keys = {
+            _reduced_key(r, heads, tails)
+            for k in range(r + 1)
+            for heads in itertools.combinations(subsystems, k)
+            for tails in itertools.combinations(subsystems, k)
+        }
+        got = enumerate_classes(r)
+        assert got == sorted(keys, key=lambda key: key.rank)
+        assert all(CanonicalKey(r, key.heads, key.tails) == key for key in got)
 
     def test_trivial_flag_matches_identity_key(self):
         for r in (1, 2, 3):

@@ -43,7 +43,7 @@ from permsep import (
     trace_norm,
     write_state_file,
 )
-from permsep import states
+from permsep import _lapack, states
 from permsep.arrows import _transpose_key
 from permsep.states import EIGENVALUE_FLOOR, _read_rows, _read_streamed
 from conftest import (
@@ -555,7 +555,7 @@ class TestOrbitEvaluation:
         assert [rec.levelno for rec in records] == [logging.DEBUG] * 2
         # both dims are small, so the route is one thread where it can be set,
         # and both are below the worker window
-        threads = "1 blas thread" if states._openblas_threads() else "blas threads unchanged"
+        threads = "1 blas thread" if _lapack._openblas_threads() else "blas threads unchanged"
         assert [rec.getMessage() for rec in records] == [
             f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, 0 real svd, 0 pure (mixed), {threads}, 1 worker",
             f"evaluate r=4 d=2: 34 classes, 22 orbits, 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), {threads}, 1 worker",
@@ -669,6 +669,16 @@ class TestStructuredRoutes:
     def test_pure_route_on_library_pure_states(self, make):
         message = _evaluation_message(make())
         assert PURE_ROUTE.search(message), message
+
+    def test_pure_route_stays_serial(self, monkeypatch):
+        # the Schmidt sums are one plain dict, so even at a dim in the worker
+        # window, with CPUs to spare, the pure route runs on the caller alone
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        rho = ghz_state(6, 2)
+        assert _lapack._WORKER_MIN_DIM <= rho.dim <= _lapack._WORKER_MAX_DIM
+        message = _evaluation_message(rho)
+        assert PURE_ROUTE.search(message), message
+        assert message.endswith(", 1 worker"), message
 
     def test_schmidt_svds_at_most_half_the_bipartitions(self):
         for r in (2, 3, 4, 5, 6):
@@ -935,7 +945,7 @@ class TestStateFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 2.5 if states._openblas_zpotrf() is not None else 3.5
+        bound = 2.5 if _lapack._lapack("zpotrf") is not None else 3.5
         assert peak <= bound * 16 * 256**2
 
     def test_one_debug_record_per_read(self, tmp_path, caplog):
@@ -1079,7 +1089,7 @@ class TestBenchmarkHooks:
 
 
 openblas = pytest.mark.skipif(
-    states._openblas_threads() is None, reason="numpy's BLAS is not its bundled OpenBLAS"
+    _lapack._openblas_threads() is None, reason="numpy's BLAS is not its bundled OpenBLAS"
 )
 
 
@@ -1089,7 +1099,7 @@ class TestBlasThreads:
 
     @staticmethod
     def _record_threads(monkeypatch) -> list[int]:
-        get, _ = states._openblas_threads()
+        get, _ = _lapack._openblas_threads()
         seen, norm = [], states.trace_norm
 
         def recording_norm(operator):
@@ -1106,7 +1116,7 @@ class TestBlasThreads:
         ids=["dim-8", "dim-400"],
     )
     def test_caller_count_restored(self, monkeypatch, make, inside):
-        get, set_ = states._openblas_threads()
+        get, set_ = _lapack._openblas_threads()
         caller = get()
         rho = make()
         seen = self._record_threads(monkeypatch)
@@ -1120,7 +1130,7 @@ class TestBlasThreads:
 
     @openblas
     def test_caller_count_restored_on_error(self, monkeypatch):
-        get, set_ = states._openblas_threads()
+        get, set_ = _lapack._openblas_threads()
         caller = get()
 
         def failing_norm(operator):
@@ -1137,7 +1147,7 @@ class TestBlasThreads:
 
     def test_missing_symbols_change_nothing(self, monkeypatch, caplog):
         # without the symbols, every norm is the per-class route's, bit for bit
-        monkeypatch.setattr(states, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(_lapack, "_openblas_threads", lambda: None)
         rho = random_state(4, 2, seed=2)
         assert np.array_equal(rho.entries, rho.entries.conj().T)  # norms are rho's own
         with caplog.at_level(logging.DEBUG, logger="permsep"):
@@ -1175,11 +1185,11 @@ class TestBlasThreads:
 
     @staticmethod
     def _cpus(monkeypatch, count: int) -> None:
-        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(count)))
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: set(range(count)))
 
     @openblas
     def test_error_on_the_kth_norm_propagates_from_the_workers(self, monkeypatch):
-        get, set_ = states._openblas_threads()
+        get, set_ = _lapack._openblas_threads()
         caller, before = get(), threading.active_count()
         calls, lock, norm = [], threading.Lock(), states.trace_norm
 
@@ -1237,7 +1247,7 @@ class TestBlasThreads:
 
 
 lapack = pytest.mark.skipif(
-    states._lapack("zgesdd") is None, reason="numpy's BLAS is not its bundled OpenBLAS"
+    _lapack._lapack("zgesdd") is None, reason="numpy's BLAS is not its bundled OpenBLAS"
 )
 
 
@@ -1260,13 +1270,13 @@ class TestLapackLayer:
         for m in _matrices(n, seed=n):
             name = "zgesdd" if m.dtype == np.complex128 else "dgesdd"
             want = np.linalg.svd(m, compute_uv=False)
-            assert np.array_equal(states._lapack_values(name, m), want)
-            assert np.array_equal(states._singular_values(m), want)
+            assert np.array_equal(_lapack._lapack_values(name, m), want)
+            assert np.array_equal(_lapack._singular_values(m), want)
             if m.dtype == np.complex128:
                 # eigvalsh reads the lower triangle alone, Hermitian or not
                 want = np.linalg.eigvalsh(m)
-                assert np.array_equal(states._lapack_values("zheevd", m), want)
-                assert np.array_equal(states._eigenvalues(m), want)
+                assert np.array_equal(_lapack._lapack_values("zheevd", m), want)
+                assert np.array_equal(_lapack._eigenvalues(m), want)
 
     @lapack
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1283,9 +1293,9 @@ class TestLapackLayer:
                 want = reference(operand)
             except np.linalg.LinAlgError as exc:
                 with pytest.raises(np.linalg.LinAlgError, match=f"^{exc}$"):
-                    states._lapack_values(name, operand)
+                    _lapack._lapack_values(name, operand)
             else:
-                np.testing.assert_array_equal(states._lapack_values(name, operand), want)
+                np.testing.assert_array_equal(_lapack._lapack_values(name, operand), want)
         if np.isnan(value):
             with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
                 trace_norm(m)
@@ -1294,7 +1304,7 @@ class TestLapackLayer:
     def test_other_dtypes_keep_numpy(self, dtype):
         m = (np.arange(25).reshape(5, 5) % 7).astype(dtype)
         want = np.linalg.svd(m, compute_uv=False)
-        got = states._singular_values(m)
+        got = _lapack._singular_values(m)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert trace_norm(m) == float(want.sum())
 
@@ -1303,11 +1313,11 @@ class TestLapackLayer:
         def refuse(name, m):
             raise AssertionError(f"{name} at dim {len(m)}")
 
-        monkeypatch.setattr(states, "_lapack_values", refuse)
+        monkeypatch.setattr(_lapack, "_lapack_values", refuse)
         m = random_state(2, 12, seed=1).entries[:n, :n]
         for operand in (m, m.real.copy()):
-            assert np.array_equal(states._singular_values(operand), np.linalg.svd(operand, compute_uv=False))
-        assert np.array_equal(states._eigenvalues(m), np.linalg.eigvalsh(m))
+            assert np.array_equal(_lapack._singular_values(operand), np.linalg.svd(operand, compute_uv=False))
+        assert np.array_equal(_lapack._eigenvalues(m), np.linalg.eigvalsh(m))
 
 
 # (r, d) in the worker window, then just outside it: dim 27 below, 144 above
@@ -1331,12 +1341,12 @@ class TestWorkerRoute:
                 mp.setattr(states, "_plan", lambda r: some)
             orbits = sum(1 for _, _, partner in states._plan(r) if partner is None)
             # more CPUs than the host may have, which start no more workers
-            mp.setattr(states.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+            mp.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
             report, message = _logged_evaluation(rho)
-            mp.setattr(states, "_lapack", lambda name: None)
+            mp.setattr(_lapack, "_lapack", lambda name: None)
             reference, serial = _logged_evaluation(rho)
         assert report == reference
-        inside = states._WORKER_MIN_DIM <= d**r <= states._WORKER_MAX_DIM
+        inside = _lapack._WORKER_MIN_DIM <= d**r <= _lapack._WORKER_MAX_DIM
         workers = min(2, orbits // 2) if inside else 1
         assert message.endswith(f", 1 blas thread, {workers} worker{'s' * (workers > 1)}")
         assert serial.endswith(", 1 blas thread, 1 worker")
@@ -1344,7 +1354,7 @@ class TestWorkerRoute:
     def test_share_runs_every_job_once(self):
         # more workers than cores, switching threads as often as it can
         done, switch = [], sys.getswitchinterval()
-        runner = threading.Thread(target=states._share, args=(list(range(3000)), done.append, 8))
+        runner = threading.Thread(target=_lapack._share, args=(list(range(3000)), done.append, 8))
         sys.setswitchinterval(1e-6)
         try:
             runner.start()
@@ -1356,10 +1366,10 @@ class TestWorkerRoute:
 
     @lapack
     def test_at_most_two_workers_on_a_large_host(self, monkeypatch):
-        monkeypatch.setattr(states.os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert states._worker_count(64, 251) == 2
-        assert states._worker_count(64, 3) == 1
-        assert states._worker_count(27, 251) == states._worker_count(129, 251) == 1
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert _lapack._worker_count(64, 251) == 2
+        assert _lapack._worker_count(64, 3) == 1
+        assert _lapack._worker_count(27, 251) == _lapack._worker_count(129, 251) == 1
 
     def test_a_signal_while_joining_stops_the_workers_first(self, monkeypatch):
         # the caller takes one job and holds it until the worker has taken
@@ -1385,7 +1395,7 @@ class TestWorkerRoute:
 
         monkeypatch.setattr(threading.Thread, "join", interrupted_join)
         with pytest.raises(KeyboardInterrupt):
-            states._share([0, 1], task, 2)
+            _lapack._share([0, 1], task, 2)
         assert threading.active_count() == before
         assert sorted(done) == [0, 1]
 
@@ -1400,7 +1410,7 @@ class TestWorkerRoute:
 
         monkeypatch.setattr(threading.Thread, "start", failing_start)
         with pytest.raises(RuntimeError, match="can't start new thread"):
-            states._share(list(range(1000)), done.append, 3)
+            _lapack._share(list(range(1000)), done.append, 3)
         assert threading.active_count() == before
         assert len(set(done)) == len(done)
 
@@ -1499,10 +1509,10 @@ class TestPositivityCertificate:
         # the in-place zpotrf and its np.linalg.cholesky fallback, each on
         # a negative eigenvalue just above and just below the floor; the
         # factor certifies alone only above half the floor
-        if route == "zpotrf" and states._openblas_zpotrf() is None:
+        if route == "zpotrf" and _lapack._lapack("zpotrf") is None:
             pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
         if route == "numpy":
-            monkeypatch.setattr(states, "_openblas_zpotrf", lambda: None)
+            monkeypatch.setattr(_lapack, "_lapack", lambda name: None)
         rho = self._state_at_the_floor(r, d, scale)
         lo = float(np.min(np.linalg.eigvalsh(rho.entries)))
         assert (lo < EIGENVALUE_FLOOR) == (scale > 1)
@@ -1510,17 +1520,17 @@ class TestPositivityCertificate:
         expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if scale > 1 else []
         assert rho.state_violations() == expected
 
-    @pytest.mark.skipif(states._openblas_zpotrf() is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+    @pytest.mark.skipif(_lapack._lapack("zpotrf") is None, reason="numpy's BLAS is not its bundled OpenBLAS")
     def test_in_place_factor_reads_the_lower_triangle(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 64):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             h = g @ g.conj().T + np.eye(n)
             a = np.tril(h) + np.triu(np.full((n, n), 1e3 + 1e3j), 1)  # the upper triangle is never read
-            assert states._factor_in_place(a)
+            assert _lapack._factor_in_place(a)
             # the factor replaces the lower triangle, in a's own buffer
             assert np.allclose(np.tril(a), np.linalg.cholesky(h))
-            assert not states._factor_in_place(h - 2 * np.linalg.norm(h, 2) * np.eye(n))
+            assert not _lapack._factor_in_place(h - 2 * np.linalg.norm(h, 2) * np.eye(n))
 
     def test_certificate_taken_on_valid_states(self):
         for rho in (random_state(2, 2, seed=1), ghz_state(3, 2), bell_pair_state(2, 3, 1, 2)):
