@@ -199,10 +199,9 @@ class CanonicalKey:
 
     @property
     def partner_label(self) -> str:
-        """Type of the flip partner, the other drawing of the same class."""
-        heads, tails = _flip_sets(self.r, self.heads, self.tails)
-        loops = len(set(heads) & set(tails))
-        return type_label(len(heads) - loops, loops)
+        """Type of the flip partner, the other drawing of the same class: the
+        arrows reversed, and a loop on each of the r - 2a - l free subsystems."""
+        return type_label(self.arrow_count, self.r - len(set(self.heads) | set(self.tails)))
 
     @property
     def rank(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

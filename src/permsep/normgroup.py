@@ -172,22 +172,11 @@ def _census_rows(r: int, keys: list[CanonicalKey]) -> list[CensusRow]:
     for key in keys:
         if not key.is_trivial:
             groups.setdefault((key.arrow_count, key.loop_count), []).append(key)
-    rows = []
-    for (a, l), members in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        partners = {m.partner_label for m in members}
-        if len(partners) != 1:
-            raise RuntimeError(f"mixed partner labels in type group ({a}, {l})")
-        rows.append(
-            CensusRow(
-                r=r,
-                arrow_count=a,
-                loop_count=l,
-                type_label=type_label(a, l),
-                partner_label=partners.pop(),
-                count=len(members),
-            )
-        )
-    return rows
+    # the members of a type group share their flip partner's type too
+    return [
+        CensusRow(r, a, l, type_label(a, l), members[0].partner_label, len(members))
+        for (a, l), members in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    ]
 
 
 def census_by_type(r: int) -> dict[str, int]:

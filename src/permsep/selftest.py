@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -29,8 +28,9 @@ from .normgroup import (
 from .states import (
     DensityMatrix,
     VERDICT_TOLERANCE,
-    _conjugating_subsystems,
+    _check_seed,
     _pure_vector,
+    _real_layout,
     apply_permutation,
     bell_pair_state,
     detector_state,
@@ -223,8 +223,7 @@ def _check_structured_routes(seed: int) -> tuple[bool, str]:
     bound = np.sqrt(pure.dim) * delta
     if not bound < 1e-3 * VERDICT_TOLERANCE:
         return False, f"pure state's certificate {bound:.1e} does not admit the pure route"
-    paired = [key for key in enumerate_classes(4) if key.arrow_count
-              and _conjugating_subsystems(representative_permutation(key).images)]
+    paired = [key for key in enumerate_classes(4) if _real_layout(key, 2) is not None]
     worst = 0.0
     for rho in (pure, mixed):
         m = rho.entries
@@ -324,8 +323,7 @@ def run_checks(
     names: list[str] | None = None, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     # a bad seed would fail the seeded checks one by one, as if the library were broken
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     selected = names or CHECK_NAMES
     unknown = [n for n in selected if n not in CHECK_NAMES]
     if unknown:

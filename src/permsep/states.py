@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -325,6 +326,11 @@ def _random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> DensityMatrix:
     """Convex mixture of ``terms`` random pure product states.
 
@@ -332,8 +338,10 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
     from the seeded generator.
     """
     dim = _check_dims(r, d)
+    _check_integer("terms", terms)
     if terms < 1:
         raise ValueError(f"need at least one product term, got {terms}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights = rng.random(terms)
     weights /= weights.sum()
@@ -349,6 +357,7 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
 def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
     """Random density matrix G G^dagger / tr, G complex Gaussian."""
     dim = _check_dims(r, d)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
@@ -467,68 +476,47 @@ def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
     A and B those two sets of subsystems, the permuted matrix is
     Psi_A (x) conj(Psi_B) up to row and column order, where Psi_X is psi
     with the subsystems in X as its row index.  So the norm is S(A) S(B),
-    with S(X) the trace norm of Psi_X.  S(X) = S(X^c), and S of the empty
-    set is the vector norm of psi, so at most 2^(r-1) - 1 SVDs are needed.
+    with S(X) the trace norm of Psi_X.  A is the complement of sigma's head
+    set and B its tail set, so they are the key's H and T or both their
+    complements, and S(X) = S(X^c): the norm is S(H) S(T).  A nontrivial
+    key's sets are neither empty nor everything, so at most 2^(r-1) - 1
+    SVDs are needed.
     """
     tensor = psi.reshape((d,) * r)
     everyone = frozenset(range(r))
     sums: dict[frozenset[int], float] = {}
 
-    def schmidt(rows: frozenset[int]) -> float:
+    def schmidt(subsystems: tuple[int, ...]) -> float:
+        rows = frozenset(k - 1 for k in subsystems)
         rest = everyone - rows
         # the shorter side is the row index, and of two equal sides the one
         # with subsystem 0, so that X and X^c share one entry
         if (len(rows), 0 in rest) > (len(rest), 0 in rows):
             rows, rest = rest, rows
         if rows not in sums:
-            if not rows:
-                sums[rows] = float(np.linalg.norm(psi))
-            else:
-                m = tensor.transpose(sorted(rows) + sorted(rest)).reshape(d ** len(rows), -1)
-                # trace_norm takes square matrices; zero rows add only zero singular values
-                square = np.zeros((m.shape[1], m.shape[1]), dtype=np.complex128)
-                square[: len(m)] = m
-                sums[rows] = trace_norm(square)
+            m = tensor.transpose(sorted(rows) + sorted(rest)).reshape(d ** len(rows), -1)
+            # trace_norm takes square matrices; zero rows add only zero singular values
+            square = np.zeros((m.shape[1], m.shape[1]), dtype=np.complex128)
+            square[: len(m)] = m
+            sums[rows] = trace_norm(square)
         return sums[rows]
 
     def orbit(key: CanonicalKey, rep: Permutation) -> tuple[float, str]:
-        images = rep.images
-        kets = frozenset(k for k in range(r) if images[2 * k] % 2)
-        bras = frozenset(k for k in range(r) if images[2 * k + 1] % 2)
-        return schmidt(kets) * schmidt(bras), "pure"
+        return schmidt(key.heads) * schmidt(key.tails), "pure"
 
     return orbit, sums
 
 
 @functools.cache
-def _conjugating_subsystems(images: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The subsystem permutation pi, as images of 1..r, that conjugates
-    every Hermitian h permuted by sigma, or None when there is none.
+def _real_layout(key: CanonicalKey, d: int) -> tuple | None:
+    """The basis change W of the class's subsystem involution pi, and the
+    blocks in which ``_real_form`` reads a matrix's rows; or None.
 
-    Here pi acts on the row and on the column subscripts alike: it sends
-    2k - 1 to 2 pi(k) - 1 and 2k to 2 pi(k).  conj(h) is h permuted by the
-    global transpose t, and permuting by a and then by b is permuting by
-    b a, so the one candidate is sigma t sigma^-1.  It is an involution,
-    so pi is one too.  It exists exactly for the self-paired arrow classes'
-    representatives, and only at even r.
-    """
-    inverse = [0] * (len(images) + 1)
-    for point, image in enumerate(images, start=1):
-        inverse[image] = point
-    # (p - 1) ^ 1 is the 0-based index of t(p)
-    moved = [images[(inverse[q] - 1) ^ 1] for q in range(1, len(images) + 1)]
-    pi = []
-    for row, column in zip(moved[::2], moved[1::2]):
-        if row % 2 == 0 or column != row + 1:
-            return None
-        pi.append((row + 1) // 2)
-    return tuple(pi)
-
-
-@functools.cache
-def _real_layout(pi: tuple[int, ...], d: int) -> tuple:
-    """The basis change W of the subsystem involution pi, and the blocks in
-    which ``_real_form`` reads a matrix's rows.
+    conj(h) is the Hermitian h permuted by the global transpose t, so
+    sigma t sigma^-1 takes h permuted by the representative sigma to its
+    conjugate.  It sends each 2k - 1 to 2 pi(k) - 1 and 2k to 2 pi(k)
+    exactly for the self-paired arrow classes, whose key the transpose
+    keeps; there pi swaps the tail and head of each of sigma's arrows.
 
     pi permutes the row basis by an involution s.  W keeps each fixed point
     e_f of s, and turns each pair x < s(x) = y into (e_x + e_y) / sqrt(2)
@@ -537,9 +525,14 @@ def _real_layout(pi: tuple[int, ...], d: int) -> tuple:
     and the sources (the fixed points and the x) in blocks of consecutive
     sources, each block's fixed points first, with their count.
     """
-    dim = d ** len(pi)
+    if not key.arrow_count or _transpose_key(key) != key:
+        return None
+    pi = list(range(key.r))
+    for tail, head in _arrows_of_sets(key.heads, key.tails):
+        pi[tail - 1], pi[head - 1] = head - 1, tail - 1
+    dim = d**key.r
     index = np.arange(dim)
-    s = index.reshape((d,) * len(pi)).transpose([k - 1 for k in pi]).reshape(dim)
+    s = index.reshape((d,) * key.r).transpose(pi).reshape(dim)
     firsts = np.flatnonzero(index < s)
     sources = np.flatnonzero(index <= s)
     rows = max(1, _BLOCK_BYTES // (16 * dim))
@@ -594,11 +587,11 @@ def _orbit_norm(herm: DensityMatrix, key: CanonicalKey, rep: Permutation) -> tup
     permuted = apply_permutation(herm, rep)
     if key.arrow_count == 0:
         return float(np.abs(_eigenvalues(permuted.entries)).sum()), "eigvalsh"
-    a, pi = permuted.entries, _conjugating_subsystems(rep.images)
-    if pi is not None and not np.may_share_memory(a, herm.entries):
+    a, layout = permuted.entries, _real_layout(key, herm.d)
+    if layout is not None and not np.may_share_memory(a, herm.entries):
         # a is this call's own array, so its buffer takes the real form
         a.setflags(write=True)
-        return trace_norm(_real_form(a, _real_layout(pi, herm.d))), "real svd"
+        return trace_norm(_real_form(a, layout)), "real svd"
     return trace_norm(permuted), "svd"
 
 
@@ -622,13 +615,14 @@ def evaluate_criteria(
     computed once per process.  A negative or NaN tolerance raises
     ValueError.
 
-    Two routes replace that dense one where the state allows it.  A pure
-    state's norms factor into Schmidt sums of its vector (``_factored_norms``),
-    which are used only when the certificate sqrt(dim) * ||rho - psi psi^dagger||_F,
-    a bound on every norm's error, is below 1e-3 * min(tolerance,
-    VERDICT_TOLERANCE): a tolerance of 0 always takes the dense route.  A
-    self-paired arrow class's matrix is unitarily similar to a real one
-    (``_real_form``), whose SVD is cheaper.
+    Two routes, read off the class's key, replace that dense one where the
+    state allows it.  A pure state's norm is S(H) S(T), Schmidt sums of its
+    vector across the key's sets (``_factored_norms``), used only when the
+    certificate sqrt(dim) * ||rho - psi psi^dagger||_F, a bound on every
+    norm's error, is below 1e-3 * min(tolerance, VERDICT_TOLERANCE): a
+    tolerance of 0 always takes the dense route.  A self-paired arrow
+    class's matrix is unitarily similar to a real one, whose SVD is cheaper,
+    by the involution that swaps each arrow's tail and head (``_real_layout``).
 
     Up to dim 361, the decompositions run on one thread of numpy's bundled
     OpenBLAS, which is faster there than several.  That thread count is a
@@ -678,7 +672,7 @@ def evaluate_criteria(
     norms = [done[i if partner is None else partner][0] for i, (_, _, partner) in enumerate(plan)]
     routes = [done[i][1] for i in firsts]
     if sums is not None:
-        route += f", {sum(1 for rows in sums if rows)} schmidt svd"
+        route += f", {len(sums)} schmidt svd"
     records = tuple(
         ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
     )

@@ -23,6 +23,7 @@ from permsep import (
     apply_permutation,
     basis_product_state,
     bell_pair_state,
+    canonical_key,
     compose,
     detector_state,
     enumerate_classes,
@@ -32,6 +33,7 @@ from permsep import (
     global_transpose,
     group_elements,
     identity,
+    inverse,
     maximally_mixed_state,
     parse_permutation,
     permutation_from_cycles,
@@ -208,6 +210,25 @@ class TestStateFactory:
     def test_non_integer_subsystems_and_levels_rejected(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
+
+    @pytest.mark.parametrize("terms", [True, 2.0, "3"])
+    def test_non_integer_terms_rejected(self, terms):
+        with pytest.raises(TypeError, match=f"^terms must be an integer, got {re.escape(repr(terms))}$"):
+            random_separable_state(2, 2, terms=terms)
+
+    @pytest.mark.parametrize("factory", [random_state, random_separable_state])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_seed_rejected(self, factory, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            factory(2, 2, seed=seed)
+
+    def test_numpy_integer_terms_and_seed_accepted(self):
+        assert np.array_equal(
+            random_separable_state(2, 2, terms=np.int64(3), seed=np.uint8(7)).entries,
+            random_separable_state(2, 2, terms=3, seed=7).entries,
+        )
+        assert np.array_equal(random_state(2, 2, seed=np.int32(4)).entries, random_state(2, 2, seed=4).entries)
 
     def test_numpy_integer_subsystems_and_levels_accepted(self):
         assert np.array_equal(
@@ -651,6 +672,24 @@ def _self_paired_arrow_classes(r: int) -> list:
     return [key for key in enumerate_classes(r)[1:] if key.arrow_count and _transpose_key(key) == key]
 
 
+def _conjugating_subsystems(sigma: Permutation) -> tuple[int, ...] | None:
+    """The subsystem permutation pi, as images of 1..r, that conjugates every
+    Hermitian h permuted by sigma, or None when there is none: the reference
+    for the involution that ``states._real_layout`` reads off a key.
+
+    conj(h) is h permuted by the global transpose t, so the one candidate is
+    sigma t sigma^-1, which must send each 2k - 1 to some 2 pi(k) - 1 and 2k
+    to 2 pi(k).
+    """
+    moved = compose(compose(inverse(sigma), global_transpose(sigma.degree)), sigma).images
+    pi = []
+    for row, column in zip(moved[::2], moved[1::2]):
+        if row % 2 == 0 or column != row + 1:
+            return None
+        pi.append((row + 1) // 2)
+    return tuple(pi)
+
+
 class TestStructuredRoutes:
     """The pure and real routes give every class the per-class route's norm
     within 1e-12 relative, and are taken exactly where they apply."""
@@ -679,6 +718,22 @@ class TestStructuredRoutes:
         message = _evaluation_message(rho)
         assert PURE_ROUTE.search(message), message
         assert message.endswith(", 1 worker"), message
+
+    @settings(property_settings, max_examples=60)
+    @given(st.data())
+    def test_pure_norm_is_a_class_function(self, data):
+        # S(H) S(T) of sigma's key is the norm of any sigma in the class
+        r, d = data.draw(st.sampled_from([(r, d) for r in range(2, 7) for d in (2, 3)]))
+        rho = _pure(r, d, data.draw(st.integers(0, 2**32 - 1)))
+        sigma = data.draw(permutations_of_degree(r))
+        key = canonical_key(sigma)
+        assume(not key.is_trivial)
+        psi, _ = states._pure_vector(rho.entries)
+        orbit, _ = states._factored_norms(psi, r, d)
+        norm, route = orbit(key, sigma)
+        dense = trace_norm(apply_permutation(rho, sigma))
+        assert route == "pure"
+        assert abs(norm - dense) <= 1e-12 * dense
 
     def test_schmidt_svds_at_most_half_the_bipartitions(self):
         for r in (2, 3, 4, 5, 6):
@@ -720,17 +775,25 @@ class TestStructuredRoutes:
         assert rho.entries[0, 0] == 1.0
 
     def test_conjugating_involution_of_every_self_paired_class(self):
+        # sigma t sigma^-1 of the representative decides, class by class
         for r, count in ((1, 0), (2, 1), (3, 0), (4, 3), (5, 0), (6, 10), (7, 0), (8, 35)):
             found = 0
-            for key in enumerate_classes(r)[1:]:
-                if not key.arrow_count:
+            for key in enumerate_classes(r):
+                pi = _conjugating_subsystems(representative_permutation(key))
+                layout = states._real_layout(key, 2)
+                assert (layout is not None) == (pi is not None), key.render()
+                if pi is None:
                     continue
-                pi = states._conjugating_subsystems(representative_permutation(key).images)
-                assert (pi is not None) == (_transpose_key(key) == key), key.render()
-                if pi is not None:
-                    assert sorted(pi) == list(range(1, r + 1))
-                    assert all(pi[pi[k] - 1] == k + 1 for k in range(r))
-                    found += 1
+                assert sorted(pi) == list(range(1, r + 1))
+                assert all(pi[pi[k] - 1] == k + 1 for k in range(r))
+                # the row basis permutation of pi
+                index = np.arange(2**r)
+                s = index.reshape((2,) * r).transpose([k - 1 for k in pi]).reshape(2**r)
+                fixed, firsts, seconds, _ = layout
+                assert np.array_equal(fixed, np.flatnonzero(index == s))
+                assert np.array_equal(firsts, np.flatnonzero(index < s))
+                assert np.array_equal(seconds, s[firsts])
+                found += 1
             assert found == count
 
     @pytest.mark.parametrize("r, d", [(2, 3), (2, 4), (4, 2)])
@@ -739,11 +802,11 @@ class TestStructuredRoutes:
         herm = DensityMatrix(r, d, (m + m.conj().T) / 2)
         for key in _self_paired_arrow_classes(r):
             rep = representative_permutation(key)
-            pi = states._conjugating_subsystems(rep.images)
+            pi = _conjugating_subsystems(rep)
             a = apply_permutation(herm, rep).entries
             moved = Permutation(tuple(p for k in pi for p in (2 * k - 1, 2 * k)))
             assert np.array_equal(apply_permutation(DensityMatrix(r, d, a), moved).entries, a.conj())
-            fixed, firsts, seconds, _ = states._real_layout(pi, d)
+            fixed, firsts, seconds, _ = states._real_layout(key, d)
             # W^dagger a W by row and column slicing, in complex arithmetic
             h = 1 / np.sqrt(2)
             c = np.concatenate(
@@ -759,7 +822,7 @@ class TestStructuredRoutes:
             w[firsts, minus], w[seconds, minus] = 1j * h, -1j * h
             assert np.allclose(w.conj().T @ w, np.eye(d**r), atol=1e-15)
             assert np.allclose(w.conj().T @ a @ w, form, atol=1e-15)
-            real = states._real_form(a.copy(), states._real_layout(pi, d))
+            real = states._real_form(a.copy(), states._real_layout(key, d))
             assert real.dtype == np.float64
             want = np.linalg.svd(form.real, compute_uv=False)
             assert np.allclose(np.linalg.svd(real, compute_uv=False), want, rtol=0, atol=1e-15)
@@ -1159,11 +1222,11 @@ class TestBlasThreads:
                 assert rec.norm == report.records[partner].norm
                 continue
             permuted = apply_permutation(rho, rec.representative).entries
-            pi = states._conjugating_subsystems(rec.representative.images)
+            layout = states._real_layout(rec.key, 2)
             if rec.key.arrow_count == 0:
                 assert rec.norm == float(np.abs(np.linalg.eigvalsh(permuted)).sum())
-            elif pi is not None:  # a self-paired class: the norm of its real form
-                real = states._real_form(permuted.copy(), states._real_layout(pi, 2))
+            elif layout is not None:  # a self-paired class: the norm of its real form
+                real = states._real_form(permuted.copy(), layout)
                 assert rec.norm == trace_norm(real)
             else:
                 assert rec.norm == trace_norm(permuted)
