@@ -20,6 +20,14 @@ import numpy as np
 
 # One OpenBLAS thread beats two on SVDs up to dim 361 (19^2) and loses from
 # dim 400 (20^2) on, measured on a 2-core host; no d^r lies in between.
+# A call that runs on several threads also leaves OpenBLAS's helper threads
+# spinning for about 0.1-0.2 s before they sleep, on the cores the
+# evaluation's workers then need: a dim-64 evaluation (r = 6) took
+# 0.103-0.117 s right after its state's Cholesky test on two threads, and
+# 0.068 s after a call on one.  So the library's BLAS calls on a state
+# before its evaluation, the positivity check and random_state's Gram
+# product, take the same route; on one thread zpotrf costs at most about
+# 1 ms more (dim 361: 3.3 against 2.2 ms; dims 64-256 equal within noise).
 _ONE_THREAD_MAX_DIM = 361
 # On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
 # evaluation's orbits among up to _MAX_WORKERS threads, since the LAPACK
@@ -288,7 +296,11 @@ def _blas_threads_for(dim: int):
     """Run the block on one OpenBLAS thread when dim <= _ONE_THREAD_MAX_DIM,
     and restore the caller's count afterwards, errors included; larger dims,
     and a BLAS that is not numpy's bundled OpenBLAS, keep the caller's count.
-    Yields whether the block runs on one thread."""
+    Yields whether the block runs on one thread.
+
+    The library's BLAS calls on a state before its evaluation run here too,
+    so that no OpenBLAS helper thread spins into the evaluation (see
+    _ONE_THREAD_MAX_DIM)."""
     threads = _openblas_threads() if dim <= _ONE_THREAD_MAX_DIM else None
     if threads is None:
         yield False

@@ -258,6 +258,14 @@ class TestEval:
         assert result.exit_code == 3
         assert "error" in result.output
 
+    def test_huge_local_dimension_exit_3(self, runner, tmp_path):
+        # d**2 has too many digits to print in the guard message
+        path = tmp_path / "huge.state"
+        path.write_text("2 " + "9" * 4000 + "\n")
+        result = invoke(runner, "eval", str(path))
+        assert result.exit_code == 3
+        assert result.output == "error: line 1: local dimension exceeds guard 4096\n"
+
     def test_invalid_state_exit_3(self, runner, tmp_path):
         path = tmp_path / "unnormalized.state"
         path.write_text(

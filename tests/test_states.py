@@ -263,6 +263,12 @@ class TestStateFactory:
         with pytest.raises(ValueError, match="total dimension 2\\^1000000 exceeds guard"):
             maximally_mixed_state(10**6, 2)
 
+    def test_dimension_guard_at_huge_d(self):
+        # d and d**r have too many digits to print in the message
+        for r in (1, 2):
+            with pytest.raises(ValueError, match="^local dimension exceeds guard 4096$"):
+                maximally_mixed_state(r, 10**5000)
+
     @pytest.mark.parametrize("r, d, message", [
         (2.0, 2, "subsystem count must be an integer, got 2.0"),
         (True, 2, "subsystem count must be an integer, got True"),
@@ -1161,15 +1167,16 @@ class TestBlasThreads:
     and gives the caller's thread count back, errors included."""
 
     @staticmethod
-    def _record_threads(monkeypatch) -> list[int]:
+    def _record_threads(monkeypatch, name: str = "trace_norm") -> list[int]:
+        """The thread count at each call of the states global ``name``."""
         get, _ = _lapack._openblas_threads()
-        seen, norm = [], states.trace_norm
+        seen, call = [], getattr(states, name)
 
-        def recording_norm(operator):
+        def recording(a):
             seen.append(get())
-            return norm(operator)
+            return call(a)
 
-        monkeypatch.setattr(states, "trace_norm", recording_norm)
+        monkeypatch.setattr(states, name, recording)
         return seen
 
     @openblas
@@ -1205,6 +1212,43 @@ class TestBlasThreads:
             with pytest.raises(RuntimeError, match="decomposition failed"):
                 evaluate_criteria(random_state(3, 2, seed=1))
             assert get() == 2
+        finally:
+            set_(caller)
+
+    @openblas
+    @pytest.mark.parametrize("r, d, inside", [(6, 2, 1), (2, 20, 2)], ids=["dim-64", "dim-400"])
+    def test_positivity_check_threads(self, monkeypatch, r, d, inside):
+        # a small state's check leaves no OpenBLAS helper thread spinning
+        # into the evaluation that follows; a large one keeps the caller's 2
+        get, set_ = _lapack._openblas_threads()
+        caller = get()
+        rho = DensityMatrix(r, d, random_state(r, d, seed=1).entries)  # not yet validated
+        seen = self._record_threads(monkeypatch, "_factor_in_place")
+        try:
+            set_(2)
+            rho.validate_state()
+            assert seen == [inside]
+            assert get() == 2
+        finally:
+            set_(caller)
+
+    @openblas
+    def test_caller_count_restored_after_a_read(self, monkeypatch, tmp_path):
+        get, set_ = _lapack._openblas_threads()
+        caller = get()
+        good, bad = tmp_path / "good.state", tmp_path / "bad.state"
+        write_state_file(good, random_state(6, 2, seed=1))
+        negative = np.diag(np.linspace(-0.01, 1, 64)).astype(complex)
+        write_state_file(bad, DensityMatrix(6, 2, negative / np.trace(negative)))
+        seen = self._record_threads(monkeypatch, "_factor_in_place")
+        try:
+            set_(2)
+            read_state_file(good)
+            assert get() == 2
+            with pytest.raises(StateValidationError, match="minimum eigenvalue"):
+                read_state_file(bad)  # zpotrf fails, eigvalsh decides
+            assert get() == 2
+            assert seen == [1, 1]
         finally:
             set_(caller)
 
