@@ -31,6 +31,7 @@ from .states import (
     _check_seed,
     _pure_vector,
     _real_layout,
+    _swap_pairing,
     apply_permutation,
     bell_pair_state,
     detector_state,
@@ -213,28 +214,41 @@ def _check_detectors(seed: int) -> tuple[bool, str]:
 
 
 def _check_structured_routes(seed: int) -> tuple[bool, str]:
-    """evaluate_criteria's pure and real routes give the dense per-class norms."""
+    """evaluate_criteria's pure and real routes, and its subsystem-swap
+    pairing, give the dense per-class norms."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     pure = DensityMatrix(3, 2, np.outer(v, v.conj()) / np.vdot(v, v).real)
     mixed = random_state(4, 2, seed=seed)
+    # p GHZ + (1 - p) I / 8 under U x U x U: unchanged by every subsystem
+    # swap up to rounding
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    ghz = np.kron(np.kron(u, u), u) @ np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
+    p = rng.uniform(0.3, 0.7)
+    symmetric = DensityMatrix(3, 2, p * np.outer(ghz, ghz.conj()) + (1 - p) * np.eye(8) / 8)
     # the conditions under which evaluate_criteria takes each route
     _, delta = _pure_vector(pure.entries)
     bound = np.sqrt(pure.dim) * delta
     if not bound < 1e-3 * VERDICT_TOLERANCE:
         return False, f"pure state's certificate {bound:.1e} does not admit the pure route"
     paired = [key for key in enumerate_classes(4) if _real_layout(key, 2) is not None]
-    worst = 0.0
-    for rho in (pure, mixed):
+    worst, orbits = 0.0, 0
+    for rho in (pure, symmetric, mixed):
         m = rho.entries
         herm = DensityMatrix(rho.r, rho.d, (m + m.conj().T) / 2)
+        if rho is symmetric:
+            partners, note = _swap_pairing(herm, 1e-3 * VERDICT_TOLERANCE)
+            if partners is None:
+                return False, f"symmetric state's swaps are not certified: {note}"
+            orbits = sum(partner is None for partner in partners)
         for rec in evaluate_criteria(rho).records:
             dense = trace_norm(apply_permutation(herm, rec.representative))
             worst = max(worst, abs(rec.norm - dense) / max(1.0, dense))
-    ok = worst <= 1e-12 and len(paired) == 3
+    ok = worst <= 1e-12 and len(paired) == 3 and orbits == 2
     return ok, (
-        f"pure r=3 state (bound {bound:.1e}) and random r=4 state ({len(paired)} real-route "
-        f"classes): worst relative deviation {worst:.1e} <= 1e-12, seed {seed}"
+        f"pure r=3 state (bound {bound:.1e}), symmetric r=3 state ({orbits} orbits) and "
+        f"random r=4 state ({len(paired)} real-route classes): worst relative deviation "
+        f"{worst:.1e} <= 1e-12, seed {seed}"
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .perms import Permutation, _check_integer
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
-from .arrows import CanonicalKey, _arrows_of_sets, _transpose_key
+from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
 from ._lapack import _blas_threads_for, _eigenvalues, _factor_in_place, _share
 from ._lapack import _singular_values, _worker_count
 
@@ -119,7 +119,10 @@ def _check_dims(r: int, d: int) -> int:
     if d > MAX_DIM:  # then d**r > MAX_DIM, and d may have too many digits to print
         raise ValueError(f"local dimension exceeds guard {MAX_DIM}")
     if d > 1 and r > MAX_DIM.bit_length():  # then d**r > MAX_DIM: skip the power
-        raise ValueError(f"total dimension {d}^{r} exceeds guard {MAX_DIM}")
+        # and r, which may have too many digits to print
+        raise ValueError(
+            f"total dimension {d}^r for r > {MAX_DIM.bit_length()} exceeds guard {MAX_DIM}"
+        )
     dim = d**r
     if dim > MAX_DIM:
         raise ValueError(f"total dimension {d}^{r} = {dim} exceeds guard {MAX_DIM}")
@@ -441,10 +444,11 @@ def _plan(r: int) -> tuple[tuple[CanonicalKey, Permutation, int | None], ...]:
 # The structured routes below stand in for the dense one, a decomposition of
 # one d^r x d^r complex matrix per orbit, where the state allows it.
 #
-# The pure route is taken only when its certificate sqrt(dim) * delta is
-# below this share of the verdict tolerance, the tolerance capped at
-# VERDICT_TOLERANCE so that a loose verdict margin does not loosen the norms.
-_PURE_BOUND_SHARE = 1e-3
+# The pure route and the subsystem-swap pairing are taken only when their
+# certificate, a bound on every norm's error, is below this share of the
+# verdict tolerance, the tolerance capped at VERDICT_TOLERANCE so that a
+# loose verdict margin does not loosen the norms.
+_BOUND_SHARE = 1e-3
 # tr(rho^2) of a state that the certificate accepts is 1 within about
 # 2 * TRACE_TOL; a state below this screen is mixed and skips the certificate
 _PURITY_SCREEN = 1 - 1e-6
@@ -511,6 +515,119 @@ def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
         return schmidt(key.heads) * schmidt(key.tails), "pure"
 
     return orbit, sums
+
+
+@functools.cache
+def _swap_bases(r: int, d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The subsystem pairs (k, l), k < l, at r, and the basis permutation s
+    of each pair's swap P, one row per pair: P rho P^dagger has the entry
+    rho[s[i], s[j]] at (i, j)."""
+    dim = d**r
+    index = np.arange(dim).reshape((d,) * r)
+    pairs = tuple(itertools.combinations(range(1, r + 1), 2))
+    swapped = [index.swapaxes(k - 1, l - 1).reshape(dim) for k, l in pairs]
+    bases = np.array(swapped, dtype=np.intp).reshape(len(pairs), dim)
+    bases.setflags(write=False)
+    return pairs, bases
+
+
+def _swap_distance(m: np.ndarray, s: np.ndarray) -> float:
+    """||m - P m P^dagger||_F for the swap with basis permutation s, summed a
+    block of rows at a time, so that no dim x dim temporary is held."""
+    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
+    square = 0.0
+    for i in range(0, len(m), rows):
+        block = m[s[i : i + rows, None], s]
+        np.subtract(m[i : i + rows], block, out=block)
+        square += np.vdot(block, block).real
+    return float(np.sqrt(square))
+
+
+@functools.cache
+def _swap_orbits(r: int, swaps: tuple[tuple[int, int], ...]) -> tuple:
+    """(partners, depth, borrowed): the orbits of the classes of ``_plan(r)``
+    under the global transpose and the swaps of these subsystem pairs.
+
+    partners[i] is the plan index of the first class of class i's orbit, or
+    None for that first class.  depth is the most swaps on the shortest way
+    from the first class to a class of its orbit, and borrowed the number of
+    classes whose norm comes through a swap rather than from their own
+    transpose pair.
+
+    Swapping subsystems k and l of the input relabels a class's key by the
+    transposition pi = (k l): with g the subscript swap (2k-1 2l-1)(2k 2l),
+    the class of compose(g, sigma), sigma applied after g, has the key
+    (pi(H), pi(T)).  The transpose commutes with every swap, so the search
+    runs on transpose pairs, each named by its first class, as the plan's
+    partners give it.
+    """
+    plan = _plan(r)
+    index_of = {key: i for i, (key, _, _) in enumerate(plan)}
+    pair = [i if partner is None else partner for i, (_, _, partner) in enumerate(plan)]
+    moves = [{k: l, l: k} for k, l in swaps]
+    first: dict[int, int] = {}
+    depth = 0
+    for start in pair:
+        if start in first:
+            continue
+        first[start] = start
+        frontier, steps = [start], 0
+        while frontier:
+            reached = []
+            for i in frontier:
+                key = plan[i][0]
+                for move in moves:
+                    image = _reduced_key(
+                        r,
+                        [move.get(h, h) for h in key.heads],
+                        [move.get(t, t) for t in key.tails],
+                    )
+                    j = pair[index_of[image]]
+                    if j not in first:
+                        first[j] = start
+                        reached.append(j)
+            frontier = reached
+            steps += bool(reached)
+        depth = max(depth, steps)
+    partners = tuple(None if first[p] == i else first[p] for i, p in enumerate(pair))
+    return partners, depth, sum(first[p] != p for p in pair)
+
+
+def _swap_pairing(herm: DensityMatrix, limit: float) -> tuple[tuple | None, str]:
+    """(partners, note): the partners of ``_swap_orbits`` under the subsystem
+    swaps certified on the Hermitian herm, or None when none is taken; and
+    a note for the debug record.
+
+    A swap P is unitary and a subscript relabeling keeps the Frobenius norm,
+    so a class norm on P herm P^dagger differs from the one on herm by at most
+    sqrt(dim) * delta, delta = ||herm - P herm P^dagger||_F; along a path of
+    swaps the errors add.  So a swap is certified when sqrt(dim) * delta is
+    below limit, and the pairing is taken only when sqrt(dim) * depth *
+    (the largest delta) is too.  The norm of the diagonal of
+    herm - P herm P^dagger is at most delta, so an O(dim) screen on it rules
+    out most swaps of a generic state before delta is summed.
+    """
+    m, root = herm.entries, np.sqrt(herm.dim)
+    pairs, bases = _swap_bases(herm.r, herm.d)
+    diagonal = m.diagonal()
+    screen = root * np.linalg.norm(diagonal - diagonal[bases], axis=1)
+    deltas = {pairs[i]: _swap_distance(m, bases[i]) for i in np.flatnonzero(screen < limit)}
+    if not deltas:
+        return None, "no swap past the screen"
+    certified = tuple(pair for pair, delta in deltas.items() if root * delta < limit)
+    if certified:
+        partners, depth, borrowed = _swap_orbits(herm.r, certified)
+        bound = root * depth * max(deltas[pair] for pair in certified)
+        if bound < limit:
+            names = "".join(f"({k},{l})" for k, l in certified)
+            return partners, (
+                f"swaps {names} certified: bound {bound:.1e} < {limit:.0e}, "
+                f"{borrowed} classes borrowed"
+            )
+    else:
+        bound = root * min(deltas.values())
+    names = "".join(f"({k},{l})" for k, l in deltas)
+    return None, f"swaps {names} past the screen: bound {bound:.1e} >= {limit:.0e}"
 
 
 @functools.cache
@@ -630,6 +747,21 @@ def evaluate_criteria(
     class's matrix is unitarily similar to a real one, whose SVD is cheaper,
     by the involution that swaps each arrow's tail and head (``_real_layout``).
 
+    Off the pure route, classes are also paired by the subsystem swaps that
+    leave the state unchanged within a certificate (``_swap_pairing``).
+    Swapping subsystems k and l relabels a key's sets by the transposition
+    (k l), and a swap P keeps every norm of a state with P rho P^dagger =
+    rho.  A swap whose O(dim) screen on the diagonal passes has its distance
+    delta = ||rho - P rho P^dagger||_F summed a block of rows at a time.  One
+    decomposition then serves each orbit under the transpose and the
+    certified swaps, when sqrt(dim) * depth * (the largest delta), with depth
+    the most swaps that lead from an orbit's decomposed class to another of
+    its classes, bounds every borrowed norm's error below the same
+    1e-3 * min(tolerance, VERDICT_TOLERANCE).  A GHZ state mixed with white
+    noise under U x U x U then needs 2 decompositions instead of 6, and the
+    maximally mixed state 9, 9 and 14 at r = 6, 7 and 8; the orbits of each
+    r and set of swaps are computed once per process.
+
     Up to dim 361, the decompositions run on one thread of numpy's bundled
     OpenBLAS, which is faster there than several, and so does the state's
     positivity check before them: on two threads it would leave a helper
@@ -658,20 +790,24 @@ def evaluate_criteria(
     herm = rho
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
-    firsts = [i for i, (_, _, partner) in enumerate(plan) if partner is None]
+    partners = [partner for _, _, partner in plan]
     workers, sums = 1, None
     with _blas_threads_for(rho.dim) as one_thread:
-        limit = _PURE_BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
+        limit = _BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
         psi, delta = _pure_vector(herm.entries)
         bound = np.sqrt(rho.dim) * delta
         if psi is not None and bound < limit:
             orbit, sums = _factored_norms(psi, r, rho.d)
-            route = f"bound {bound:.1e} < {limit:.0e}"
+            route, swaps = f"bound {bound:.1e} < {limit:.0e}", "swaps unchecked"
         else:
             orbit = functools.partial(_orbit_norm, herm)
             route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
-            if one_thread:
-                workers = _worker_count(rho.dim, len(firsts))
+            swapped, swaps = _swap_pairing(herm, limit)
+            if swapped is not None:
+                partners = swapped
+        firsts = [i for i, partner in enumerate(partners) if partner is None]
+        if one_thread and sums is None:
+            workers = _worker_count(rho.dim, len(firsts))
         # (norm, route) by plan index, whichever worker finishes first
         done: list[tuple[float, str] | None] = [None] * len(plan)
 
@@ -679,7 +815,7 @@ def evaluate_criteria(
             done[i] = orbit(*plan[i][:2])
 
         _share(firsts, decompose, workers)
-    norms = [done[i if partner is None else partner][0] for i, (_, _, partner) in enumerate(plan)]
+    norms = [done[i if partner is None else partner][0] for i, partner in enumerate(partners)]
     routes = [done[i][1] for i in firsts]
     if sums is not None:
         route += f", {len(sums)} schmidt svd"
@@ -690,10 +826,10 @@ def evaluate_criteria(
     verdict = "entangled" if max_norm > 1.0 + tolerance else "undetected"
     _log.debug(
         "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, "
-        "%d real svd, %d pure (%s), %s, %d worker%s",
+        "%d real svd, %d pure (%s), %s, %s, %d worker%s",
         r, rho.d, len(records), len(routes),
         *map(routes.count, ("svd", "eigvalsh", "real svd", "pure")),
-        route, "1 blas thread" if one_thread else "blas threads unchanged",
+        route, swaps, "1 blas thread" if one_thread else "blas threads unchanged",
         workers, "" if workers == 1 else "s",
     )
     return CriterionReport(

@@ -1,5 +1,6 @@
 """Numerics: index relabeling, trace norms, state factory, criteria, files."""
 
+import functools
 import itertools
 import logging
 import math
@@ -46,7 +47,7 @@ from permsep import (
     write_state_file,
 )
 from permsep import _lapack, states
-from permsep.arrows import _transpose_key
+from permsep.arrows import _reduced_key, _transpose_key
 from permsep.states import EIGENVALUE_FLOOR, _read_rows, _read_streamed
 from conftest import (
     apply_permutation_reference,
@@ -260,7 +261,7 @@ class TestStateFactory:
 
     def test_dimension_guard_at_huge_r(self):
         # d**r has too many digits to compute quickly or to print in the message
-        with pytest.raises(ValueError, match="total dimension 2\\^1000000 exceeds guard"):
+        with pytest.raises(ValueError, match="^total dimension 2\\^r for r > 13 exceeds guard 4096$"):
             maximally_mixed_state(10**6, 2)
 
     def test_dimension_guard_at_huge_d(self):
@@ -268,6 +269,12 @@ class TestStateFactory:
         for r in (1, 2):
             with pytest.raises(ValueError, match="^local dimension exceeds guard 4096$"):
                 maximally_mixed_state(r, 10**5000)
+
+    def test_dimension_guard_at_unprintable_r(self):
+        # r has more digits than int() may turn into a string
+        for d in (2, 4096):
+            with pytest.raises(ValueError, match=f"^total dimension {d}\\^r for r > 13 exceeds guard"):
+                maximally_mixed_state(10**5000, d)
 
     @pytest.mark.parametrize("r, d, message", [
         (2.0, 2, "subsystem count must be an integer, got 2.0"),
@@ -549,7 +556,8 @@ class TestOrbitEvaluation:
     def test_decomposition_counts_on_full_evaluations(self):
         # r = 6 has 10 self-paired arrow classes, which take the real route
         assert _evaluation_counts(random_state(6, 2, seed=1)) == (461, 251, 210, 31, 10, 0)
-        assert _evaluation_counts(_noisy_ghz(3, 3)) == (9, 6, 3, 3, 0, 0)
+        # the noisy GHZ state is unchanged by every subsystem swap
+        assert _evaluation_counts(_noisy_ghz(3, 3)) == (9, 2, 1, 1, 0, 0)
 
     def test_decomposition_counts_of_transpose_pairs(self):
         # the r = 7 and 8 evaluations take too long for the suite, so count
@@ -584,8 +592,10 @@ class TestOrbitEvaluation:
         # and both are below the worker window
         threads = "1 blas thread" if _lapack._openblas_threads() else "blas threads unchanged"
         assert [rec.getMessage() for rec in records] == [
-            f"evaluate r=3 d=3: 9 classes, 6 orbits, 3 svd, 3 eigvalsh, 0 real svd, 0 pure (mixed), {threads}, 1 worker",
-            f"evaluate r=4 d=2: 34 classes, 22 orbits, 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), {threads}, 1 worker",
+            "evaluate r=3 d=3: 9 classes, 2 orbits, 1 svd, 1 eigvalsh, 0 real svd, 0 pure (mixed), "
+            f"swaps (1,2)(1,3)(2,3) certified: bound 0.0e+00 < 1e-12, 6 classes borrowed, {threads}, 1 worker",
+            "evaluate r=4 d=2: 34 classes, 12 orbits, 6 svd, 4 eigvalsh, 2 real svd, 0 pure (mixed), "
+            f"swaps (1,3)(2,4) certified: bound 0.0e+00 < 1e-12, 16 classes borrowed, {threads}, 1 worker",
         ]
 
     def test_repeat_evaluation_gives_equal_records(self):
@@ -832,6 +842,218 @@ class TestStructuredRoutes:
             assert real.dtype == np.float64
             want = np.linalg.svd(form.real, compute_uv=False)
             assert np.allclose(np.linalg.svd(real, compute_uv=False), want, rtol=0, atol=1e-15)
+
+
+def _subsystem_basis(r: int, d: int, images) -> np.ndarray:
+    """The basis permutation s of the subsystem permutation k -> images[k - 1]:
+    P rho P^dagger is rho[s][:, s]."""
+    return np.arange(d**r).reshape((d,) * r).transpose([k - 1 for k in images]).reshape(d**r)
+
+
+def _swap_basis(r: int, d: int, k: int, l: int) -> np.ndarray:
+    return _subsystem_basis(r, d, [l if j == k else k if j == l else j for j in range(1, r + 1)])
+
+
+def _symmetrized(rho: DensityMatrix, block: tuple[int, ...]) -> DensityMatrix:
+    """The average of P rho P^dagger over every permutation P of the subsystems
+    in block: symmetric under their swaps up to rounding, not bit for bit."""
+    total = np.zeros_like(rho.entries)
+    for order in itertools.permutations(block):
+        images = list(range(1, rho.r + 1))
+        for k, image in zip(block, order):
+            images[k - 1] = image
+        s = _subsystem_basis(rho.r, rho.d, images)
+        total += rho.entries[np.ix_(s, s)]
+    return DensityMatrix(rho.r, rho.d, total / math.factorial(len(block))).validate_state()
+
+
+def _rotated_noisy_ghz(r: int, d: int, seed: int, p: float = 0.6) -> DensityMatrix:
+    """p GHZ + (1 - p) I / d^r under U x ... x U, U a random unitary, built as
+    a np.kron product, which rounds differently for each factor order."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    big = functools.reduce(np.kron, [u] * r)
+    psi = big @ ghz_state(r, d).entries[:, 0] * np.sqrt(d)
+    m = p * np.outer(psi, psi.conj()) + (1 - p) * np.eye(d**r) / d**r
+    return DensityMatrix(r, d, m / np.trace(m).real).validate_state()
+
+
+def _swap_orbits_reference(r: int, swaps) -> tuple:
+    """(partners, depth, borrowed) of ``states._swap_orbits`` by a search over
+    canonical keys: the class of sigma moves to the class of compose(g, sigma),
+    for g the global transpose (no swap) or a subscript swap
+    (2k-1 2l-1)(2k 2l)."""
+    plan = states._plan(r)
+    index_of = {key: i for i, (key, _, _) in enumerate(plan)}
+    moves = [(global_transpose(2 * r), 0)] + [
+        (permutation_from_cycles([(2 * k - 1, 2 * l - 1), (2 * k, 2 * l)], 2 * r), 1)
+        for k, l in swaps
+    ]
+    head, steps = {}, {}
+    for start in range(len(plan)):
+        if start in head:
+            continue
+        head[start], steps[start], queue = start, 0, [start]
+        while queue:  # the fewest swaps first: a transpose costs none
+            queue.sort(key=steps.get)
+            i = queue.pop(0)
+            for g, cost in moves:
+                j = index_of[canonical_key(compose(g, plan[i][1]))]
+                if j not in steps or steps[i] + cost < steps[j]:
+                    head[j], steps[j] = start, steps[i] + cost
+                    queue.append(j)
+    partners = tuple(None if head[i] == i else head[i] for i in range(len(plan)))
+    pair = [i if partner is None else partner for i, (_, _, partner) in enumerate(plan)]
+    borrowed = sum(head[i] != pair[i] for i in range(len(plan)))
+    return partners, max(steps.values(), default=0), borrowed
+
+
+def _swap_breaking(r: int, d: int, seed: int) -> tuple[np.ndarray, list[float]]:
+    """A random Hermitian E with a zero diagonal, so that it passes the
+    diagonal screen, and ||E - P E P^dagger||_F for each swap P in pair order."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d**r, d**r)) + 1j * rng.standard_normal((d**r, d**r))
+    e = (g + g.conj().T) / 2
+    np.fill_diagonal(e, 0)
+    bases = [_swap_basis(r, d, k, l) for k, l in itertools.combinations(range(1, r + 1), 2)]
+    return e, [np.linalg.norm(e - e[np.ix_(s, s)]) for s in bases]
+
+
+def _orbit_count(message: str) -> int:
+    return int(re.search(r"(\d+) orbits", message).group(1))
+
+
+def _transpose_orbits(r: int) -> int:
+    return sum(1 for _, _, partner in states._plan(r) if partner is None)
+
+
+class TestSwapPairing:
+    """Classes paired by the subsystem swaps certified on the state give the
+    per-class route's norm within 1e-12 relative; uncertified swaps pair
+    nothing."""
+
+    @pytest.mark.parametrize("r, swaps", [
+        (2, [(1, 2)]), (3, [(1, 2)]), (3, [(1, 2), (2, 3)]), (3, [(1, 2), (1, 3), (2, 3)]),
+        (4, [(1, 2), (3, 4)]), (4, [(1, 3), (2, 4)]), (4, [(1, 2), (2, 3), (3, 4)]),
+        (4, list(itertools.combinations(range(1, 5), 2))), (5, [(2, 4)]),
+        (5, [(1, 2), (2, 3), (3, 4), (4, 5)]), (5, list(itertools.combinations(range(1, 6), 2))),
+    ])
+    def test_orbits_match_a_search_over_canonical_keys(self, r, swaps):
+        assert states._swap_orbits(r, tuple(swaps)) == _swap_orbits_reference(r, swaps)
+
+    @pytest.mark.parametrize("r, d", [(2, 3), (3, 2), (4, 2), (3, 7), (2, 20)])
+    def test_swap_distance_is_the_dense_frobenius_distance(self, r, d):
+        # the larger dims take several rows per block, and a last block that
+        # is not full
+        m = random_state(r, d, seed=d).entries
+        pairs, bases = states._swap_bases(r, d)
+        assert pairs == tuple(itertools.combinations(range(1, r + 1), 2))
+        for (k, l), s in zip(pairs, bases):
+            p = swap_operator(r, d, k, l)
+            want = np.linalg.norm(m - p @ m @ p.conj().T)
+            assert abs(states._swap_distance(m, s) - want) <= 1e-12 * want
+
+    def test_orbit_counts_of_fully_symmetric_states(self):
+        every = lambda r: tuple(itertools.combinations(range(1, r + 1), 2))
+        counts = [sum(p is None for p in states._swap_orbits(r, every(r))[0]) for r in range(2, 9)]
+        assert counts == [2, 2, 5, 5, 9, 9, 14]
+
+    @pytest.mark.parametrize("r, d", [(2, 3), (3, 2), (4, 2)])
+    def test_a_swap_relabels_the_key(self, r, d):
+        # the norm of class (H, T) on P rho P^dagger is that of class
+        # (pi(H), pi(T)) on rho, for a state with no symmetry
+        rho = random_state(r, d, seed=r)
+        for k, l in itertools.combinations(range(1, r + 1), 2):
+            s = _swap_basis(r, d, k, l)
+            swapped = DensityMatrix(r, d, rho.entries[np.ix_(s, s)])
+            move = {k: l, l: k}
+            for key, rep, _ in states._plan(r):
+                image = _reduced_key(r, [move.get(h, h) for h in key.heads], [move.get(t, t) for t in key.tails])
+                want = trace_norm(apply_permutation(rho, representative_permutation(image)))
+                assert _close(trace_norm(apply_permutation(swapped, rep)), want), key.render()
+
+    @settings(property_settings, max_examples=40)
+    @given(st.data())
+    def test_symmetrized_random_states(self, data):
+        r = data.draw(st.integers(2, 4))
+        d = data.draw(st.integers(2, 3))
+        block = tuple(data.draw(st.lists(st.integers(1, r), min_size=2, max_size=r, unique=True)))
+        rho = _symmetrized(random_state(r, d, seed=data.draw(st.integers(0, 2**32 - 1))), tuple(sorted(block)))
+        message = _evaluation_message(rho)
+        named = re.search(r"swaps (\S+) certified: bound \S+ < 1e-12, (\d+) classes borrowed", message)
+        assert named, message
+        certified = re.findall(r"\((\d),(\d)\)", named.group(1))
+        assert {(int(k), int(l)) for k, l in certified} == set(itertools.combinations(sorted(block), 2))
+        partners, _, borrowed = states._swap_orbits(r, tuple((int(k), int(l)) for k, l in certified))
+        assert _orbit_count(message) == sum(p is None for p in partners)
+        assert int(named.group(2)) == borrowed
+
+    @pytest.mark.parametrize("r, d, orbits", [(3, 2, 2), (3, 3, 2), (3, 4, 2), (4, 2, 5)])
+    def test_rotated_noisy_ghz(self, r, d, orbits):
+        rho = _rotated_noisy_ghz(r, d, seed=r + d)
+        for k, l in itertools.combinations(range(1, r + 1), 2):
+            s = _swap_basis(r, d, k, l)
+            assert not np.array_equal(rho.entries[np.ix_(s, s)], rho.entries)  # not bit for bit
+        message = _evaluation_message(rho)
+        assert " certified: bound " in message, message
+        assert _orbit_count(message) == orbits
+
+    def test_bell_pair_certifies_its_own_swap_only(self):
+        message = _evaluation_message(bell_pair_state(3, 2, 1, 2))
+        assert ", swaps (1,2) certified: bound 0.0e+00 < 1e-12, 3 classes borrowed, " in message, message
+        assert _orbit_count(message) == _transpose_orbits(3) - 2
+
+    @pytest.mark.parametrize("factor, certified", [(0.9, True), (1.1, False)])
+    def test_perturbation_at_the_limit(self, factor, certified):
+        # scaled so that sqrt(dim) * delta is factor * 1e-12 for the farthest
+        # swap (factor 0.9) or the nearest one (factor 1.1); every class is
+        # one swap from its orbit's first class
+        e, deltas = _swap_breaking(3, 2, seed=3)
+        scale = 1e-12 / np.sqrt(8) / (max(deltas) if certified else min(deltas))
+        message = _evaluation_message(DensityMatrix(3, 2, _noisy_ghz(3, 2).entries + factor * scale * e))
+        swaps = re.escape("swaps (1,2)(1,3)(2,3)")
+        if certified:
+            assert re.search(swaps + r" certified: bound 9\.0e-13 < 1e-12", message), message
+            assert _orbit_count(message) == 2
+        else:
+            assert re.search(swaps + r" past the screen: bound 1\.1e-12 >= 1e-12", message), message
+            assert _orbit_count(message) == _transpose_orbits(3)
+
+    @pytest.mark.parametrize("factor, certified", [(0.45, True), (0.6, False)])
+    def test_depth_multiplies_the_bound(self, factor, certified):
+        # at r = 4 every swap is certified on its own, at most factor * 1e-12,
+        # but some classes lie two swaps from their orbit's first class
+        assert states._swap_orbits(4, tuple(itertools.combinations(range(1, 5), 2)))[1] == 2
+        e, deltas = _swap_breaking(4, 2, seed=4)
+        scale = 1e-12 / np.sqrt(16) / max(deltas)
+        message = _evaluation_message(DensityMatrix(4, 2, _noisy_ghz(4, 2).entries + factor * scale * e))
+        swaps = re.escape("swaps (1,2)(1,3)(1,4)(2,3)(2,4)(3,4)")
+        if certified:
+            assert re.search(swaps + r" certified: bound 9\.0e-13 < 1e-12", message), message
+            assert _orbit_count(message) == 5
+        else:
+            assert re.search(swaps + r" past the screen: bound 1\.2e-12 >= 1e-12", message), message
+            assert _orbit_count(message) == _transpose_orbits(4)
+
+    @pytest.mark.parametrize("make", [
+        lambda: _noisy_ghz(3, 2), lambda: maximally_mixed_state(4, 2), lambda: bell_pair_state(4, 2, 1, 3),
+    ], ids=["noisy-ghz-3-2", "mixed-4-2", "bell-4-2"])
+    def test_tolerance_zero_pairs_by_transpose_only(self, make):
+        rho = make()
+        assert " certified: " in _evaluation_message(rho)
+        message = _evaluation_message(rho, tolerance=0.0)
+        assert ", no swap past the screen, " in message, message
+        assert _orbit_count(message) == _transpose_orbits(rho.r)
+
+    @pytest.mark.parametrize("r, d", [(2, 3), (3, 2), (4, 2), (6, 2)])
+    def test_generic_states_stop_at_the_screen(self, r, d):
+        message = _evaluation_message(random_state(r, d, seed=r * d))
+        assert ", no swap past the screen, " in message, message
+        assert _orbit_count(message) == _transpose_orbits(r)
+
+    def test_pure_states_check_no_swap(self):
+        message = _evaluation_message(ghz_state(3, 2))
+        assert ", swaps unchecked, " in message, message
 
 
 class TestStateFiles:
