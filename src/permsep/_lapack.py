@@ -26,8 +26,9 @@ import numpy as np
 # 0.103-0.117 s right after its state's Cholesky test on two threads, and
 # 0.068 s after a call on one.  So the library's BLAS calls on a state
 # before its evaluation, the positivity check and random_state's Gram
-# product, take the same route; on one thread zpotrf costs at most about
-# 1 ms more (dim 361: 3.3 against 2.2 ms; dims 64-256 equal within noise).
+# product, take the same route, and so does the public trace_norm; on one
+# thread zpotrf costs at most about 1 ms more (dim 361: 3.3 against 2.2 ms;
+# dims 64-256 equal within noise).
 _ONE_THREAD_MAX_DIM = 361
 # On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
 # evaluation's orbits among up to _MAX_WORKERS threads, since the LAPACK
@@ -300,13 +301,18 @@ def _blas_threads_for(dim: int):
 
     The library's BLAS calls on a state before its evaluation run here too,
     so that no OpenBLAS helper thread spins into the evaluation (see
-    _ONE_THREAD_MAX_DIM)."""
+    _ONE_THREAD_MAX_DIM).  A count that is already 1 is left alone, so a
+    scope inside another one, on an evaluation's worker threads among
+    them, never sets the count."""
     threads = _openblas_threads() if dim <= _ONE_THREAD_MAX_DIM else None
     if threads is None:
         yield False
         return
     get, set_ = threads
     caller = get()
+    if caller == 1:
+        yield True
+        return
     set_(1)
     try:
         yield True

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, compose, cycle_decomposition, inverse
 from .perms import permutation_from_cycles, _cycles_of_images, _parity_kind
-from .perms import _check_integer, _render_cycles
+from .perms import _check_integer, _render_cycles, _shown
 
 __all__ = [
     "Arrow",
@@ -163,16 +163,16 @@ class CanonicalKey:
     def __post_init__(self) -> None:
         _check_integer("r", self.r)
         if self.r < 1:
-            raise ValueError(f"r must be positive, got {self.r}")
+            raise ValueError(f"r must be positive, got {_shown(self.r)}")
         for name, seq in (("heads", self.heads), ("tails", self.tails)):
             if not isinstance(seq, tuple):
-                raise TypeError(f"{name} must be a tuple, got {seq!r}")
+                raise TypeError(f"{name} must be a tuple, got {_shown(seq)}")
             for k in seq:
                 _check_integer(f"{name} entry", k)
             if list(seq) != sorted(set(seq)):
-                raise ValueError(f"{name} must be strictly sorted: {seq}")
+                raise ValueError(f"{name} must be strictly sorted: {_shown(seq)}")
             if seq and not (1 <= seq[0] and seq[-1] <= self.r):
-                raise ValueError(f"{name} leave subsystems 1..{self.r}: {seq}")
+                raise ValueError(f"{name} leave subsystems 1..{_shown(self.r)}: {_shown(seq)}")
         if len(self.heads) != len(self.tails):
             raise ValueError("head and tail sets must have equal size")
         if _reduce_sets(self.r, self.heads, self.tails) != (self.heads, self.tails):

@@ -8,7 +8,7 @@ import sys
 
 import click
 
-from .perms import PermutationParseError, _render_cycles, parse_permutation
+from .perms import PermutationParseError, _render_cycles, _shown, parse_permutation
 from .arrows import _equivalence, canonicalize
 from .normgroup import (
     MAX_CLASS_R,
@@ -42,7 +42,7 @@ def _parse_or_fail(text: str, r: int):
 
 def _check_r(r: int) -> int:
     if not 1 <= r <= MAX_CLASS_R:
-        raise click.BadParameter(f"-r must be in 1..{MAX_CLASS_R}, got {r}")
+        raise click.BadParameter(f"-r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
     return r
 
 

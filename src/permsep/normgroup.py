@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .perms import Permutation, global_transpose, identity, permutation_from_cycles
-from .perms import _check_integer, _parity_kind
+from .perms import _check_integer, _parity_kind, _shown
 from .arrows import CanonicalKey, canonical_key, type_label
 from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduce_sets, _reduced_key
 
@@ -95,7 +95,7 @@ def group_elements(r: int) -> frozenset[Permutation]:
     breadth-first product closure of the generators, r <= 5."""
     _check_integer("r", r)
     if not 1 <= r <= MAX_GROUP_R:
-        raise ValueError(f"r must be in 1..{MAX_GROUP_R}, got {r}")
+        raise ValueError(f"r must be in 1..{MAX_GROUP_R}, got {_shown(r)}")
     closure = _closure(r)
     expected = 2 * math.factorial(r) ** 2
     if len(closure) != expected:
@@ -124,7 +124,7 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     """
     _check_integer("r", r)
     if not 1 <= r <= MAX_CLASS_R:
-        raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {r}")
+        raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
     subsystems = range(1, r + 1)
     out = [
         _reduced_key(r, heads, tails)

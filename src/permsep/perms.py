@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,24 @@ class PermutationParseError(ValueError):
         super().__init__(message)
 
 
+def _shown(value) -> str:
+    """value as an error message echoes it: an integer in decimal, alone or
+    in a tuple or list, and anything else by its repr; except that an
+    integer beyond 64 bits is shown by its sign and bit length, since str()
+    refuses one of more than sys.get_int_max_str_digits() digits (4300 by
+    default) and its error would replace the message."""
+    if isinstance(value, (tuple, list)):
+        shown = ", ".join(map(_shown, value))
+        if isinstance(value, list):
+            return f"[{shown}]"
+        return f"({shown},)" if len(value) == 1 else f"({shown})"
+    if not isinstance(value, numbers.Integral):
+        return repr(value)
+    if -(1 << 64) < value < 1 << 64:
+        return str(value)
+    return f"{'-' if value < 0 else ''}<{int(value).bit_length()}-bit integer>"
+
+
 def _check_integer(name: str, value) -> None:
     """TypeError naming the argument unless value is a non-bool integer.
 
@@ -57,13 +76,13 @@ class Permutation:
     def __post_init__(self) -> None:
         # a list would compare unequal to the same tuple and not hash
         if type(self.images) is not tuple:
-            raise TypeError(f"images must be a tuple, got {self.images!r}")
+            raise TypeError(f"images must be a tuple, got {_shown(self.images)}")
         n = len(self.images)
         if n < 2 or n % 2 != 0:
             raise ValueError(f"degree must be even and >= 2, got {n}")
         ordered = sorted(self.images)
         if ordered != list(range(1, n + 1)):
-            raise ValueError(f"images are not a bijection of 1..{n}: {self.images!r}")
+            raise ValueError(f"images are not a bijection of 1..{n}: {_shown(self.images)}")
         # 2.0 or True equals a point; a sum of ints is an int, and True can
         # only stand in for 1, so all-int images pay no per-entry check
         if type(sum(self.images)) is not int or ordered[0] is True:
@@ -81,7 +100,7 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         if not 1 <= point <= len(self.images):
-            raise ValueError(f"point {point} out of range 1..{len(self.images)}")
+            raise ValueError(f"point {_shown(point)} out of range 1..{len(self.images)}")
         return self.images[point - 1]
 
     def __str__(self) -> str:
@@ -171,10 +190,10 @@ def permutation_from_cycles(
             continue
         step = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
         if len(step) != len(cyc):
-            raise ValueError(f"cycle contains a repeated point: {tuple(cyc)}")
+            raise ValueError(f"cycle contains a repeated point: {_shown(tuple(cyc))}")
         for p in cyc:
             if not 1 <= p <= degree:
-                raise ValueError(f"point {p} out of range 1..{degree}")
+                raise ValueError(f"point {_shown(p)} out of range 1..{degree}")
         images = [step.get(x, x) for x in images]
     return Permutation(tuple(images))
 
@@ -201,8 +220,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     _check_integer("degree", degree)
     if degree < 2 or degree % 2 != 0:
         raise PermutationParseError(
-            f"degree must be a positive even integer, got {degree}"
+            f"degree must be a positive even integer, got {_shown(degree)}"
         )
+    if degree > sys.maxsize:  # no sequence is that long
+        raise PermutationParseError(f"degree {_shown(degree)} exceeds sys.maxsize")
     images = _read_cycles(text, degree)
     if images is not None:
         return Permutation(tuple(images))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation, _check_integer
+from .perms import Permutation, _check_integer, _shown
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
 from ._lapack import _blas_threads_for, _eigenvalues, _factor_in_place, _share
@@ -65,6 +65,13 @@ VERDICT_TOLERANCE = 1e-9
 _BLOCK_BYTES = 1 << 16
 
 
+def _row_blocks(dim: int):
+    """Slices of consecutive rows of a dim x dim complex matrix, _BLOCK_BYTES
+    (and at least one row) each, in increasing order."""
+    rows = max(1, _BLOCK_BYTES // (16 * dim))
+    return (slice(i, i + rows) for i in range(0, dim, rows))
+
+
 class StateValidationError(ValueError):
     """A matrix violates the state invariants; lists every violation."""
 
@@ -82,10 +89,8 @@ class StateFileError(ValueError):
 def _hermitian_deviation(m: np.ndarray) -> float:
     """max |m - m^dagger|, a block of rows at a time, so that no dim x dim
     temporary is held."""
-    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
     return max(
-        float(np.max(np.abs(m[i : i + rows] - m[:, i : i + rows].conj().T)))
-        for i in range(0, len(m), rows)
+        float(np.max(np.abs(m[rows] - m[:, rows].conj().T))) for rows in _row_blocks(len(m))
     )
 
 
@@ -113,9 +118,9 @@ def _check_dims(r: int, d: int) -> int:
     _check_integer("subsystem count", r)
     _check_integer("local dimension", d)
     if r < 1:
-        raise ValueError(f"subsystem count must be positive, got {r}")
+        raise ValueError(f"subsystem count must be positive, got {_shown(r)}")
     if d < 1:
-        raise ValueError(f"local dimension must be positive, got {d}")
+        raise ValueError(f"local dimension must be positive, got {_shown(d)}")
     if d > MAX_DIM:  # then d**r > MAX_DIM, and d may have too many digits to print
         raise ValueError(f"local dimension exceeds guard {MAX_DIM}")
     if d > 1 and r > MAX_DIM.bit_length():  # then d**r > MAX_DIM: skip the power
@@ -241,18 +246,24 @@ def apply_permutation(rho: DensityMatrix, sigma: Permutation) -> DensityMatrix:
 
 
 def trace_norm(operator: DensityMatrix | np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+    """Sum of singular values of a square matrix.
+
+    Up to dim 361 the SVD runs on one OpenBLAS thread, and the caller's
+    count comes back afterwards (``_blas_threads_for``), so that no helper
+    thread spins into whatever follows.
+    """
     m = operator.entries if isinstance(operator, DensityMatrix) else np.asarray(operator)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {m.shape}")
-    return float(_singular_values(m).sum())
+    with _blas_threads_for(len(m)):
+        return float(_singular_values(m).sum())
 
 
 def _check_pair(r: int, k: int, l: int) -> None:
     _check_integer("k", k)
     _check_integer("l", l)
     if not (1 <= k < l <= r):
-        raise ValueError(f"need 1 <= k < l <= r, got k={k}, l={l}, r={r}")
+        raise ValueError(f"need 1 <= k < l <= r, got k={_shown(k)}, l={_shown(l)}, r={r}")
 
 
 def swap_operator(r: int, d: int, k: int, l: int) -> np.ndarray:
@@ -302,7 +313,7 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
     for x in levels:
         _check_integer("level", x)
     if len(levels) != r or not all(0 <= x < d for x in levels):
-        raise ValueError(f"levels must be r={r} integers in 0..{d - 1}, got {levels}")
+        raise ValueError(f"levels must be r={r} integers in 0..{d - 1}, got {_shown(levels)}")
     index = 0
     for x in levels:
         index = index * d + x
@@ -336,7 +347,7 @@ def _random_unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValueError(f"seed must be a non-negative integer, got {_shown(seed)}")
 
 
 def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> DensityMatrix:
@@ -348,7 +359,7 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
     dim = _check_dims(r, d)
     _check_integer("terms", terms)
     if terms < 1:
-        raise ValueError(f"need at least one product term, got {terms}")
+        raise ValueError(f"need at least one product term, got {_shown(terms)}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights = rng.random(terms)
@@ -384,7 +395,7 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     if key.is_trivial:
         raise ValueError("the trivial class detects nothing")
     if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {d}")
+        raise ValueError(f"local dimension must be at least 2, got {_shown(d)}")
     r = key.r
     _check_dims(r, d)
     arrows = _arrows_of_sets(key.heads, key.tails)
@@ -467,11 +478,10 @@ def _pure_vector(m: np.ndarray) -> tuple[np.ndarray | None, float]:
     j = int(np.argmax(m.diagonal().real))
     psi = m[:, j] / np.sqrt(m[j, j].real)
     bra = psi.conj()
-    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
     square = 0.0
-    for i in range(0, len(m), rows):
-        block = np.outer(psi[i : i + rows], bra)
-        np.subtract(m[i : i + rows], block, out=block)
+    for rows in _row_blocks(len(m)):
+        block = np.outer(psi[rows], bra)
+        np.subtract(m[rows], block, out=block)
         square += np.vdot(block, block).real
     return psi, float(np.sqrt(square))
 
@@ -517,16 +527,25 @@ def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
     return orbit, sums
 
 
+def _involution_basis(r: int, d: int, pairs) -> np.ndarray:
+    """The basis permutation s, read-only, of the subsystem involution that
+    swaps each of the disjoint pairs (k, l): its P has P rho P^dagger =
+    rho[s][:, s]."""
+    pi = list(range(r))
+    for k, l in pairs:
+        pi[k - 1], pi[l - 1] = l - 1, k - 1
+    s = np.arange(d**r).reshape((d,) * r).transpose(pi).reshape(-1)
+    s.setflags(write=False)
+    return s
+
+
 @functools.cache
 def _swap_bases(r: int, d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """The subsystem pairs (k, l), k < l, at r, and the basis permutation s
-    of each pair's swap P, one row per pair: P rho P^dagger has the entry
-    rho[s[i], s[j]] at (i, j)."""
-    dim = d**r
-    index = np.arange(dim).reshape((d,) * r)
+    of each pair's swap, one row per pair (``_involution_basis``)."""
     pairs = tuple(itertools.combinations(range(1, r + 1), 2))
-    swapped = [index.swapaxes(k - 1, l - 1).reshape(dim) for k, l in pairs]
-    bases = np.array(swapped, dtype=np.intp).reshape(len(pairs), dim)
+    swapped = [_involution_basis(r, d, [pair]) for pair in pairs]
+    bases = np.array(swapped, dtype=np.intp).reshape(len(pairs), d**r)
     bases.setflags(write=False)
     return pairs, bases
 
@@ -534,11 +553,10 @@ def _swap_bases(r: int, d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray
 def _swap_distance(m: np.ndarray, s: np.ndarray) -> float:
     """||m - P m P^dagger||_F for the swap with basis permutation s, summed a
     block of rows at a time, so that no dim x dim temporary is held."""
-    rows = max(1, _BLOCK_BYTES // (16 * len(m)))
     square = 0.0
-    for i in range(0, len(m), rows):
-        block = m[s[i : i + rows, None], s]
-        np.subtract(m[i : i + rows], block, out=block)
+    for rows in _row_blocks(len(m)):
+        block = m[s[rows, None], s]
+        np.subtract(m[rows], block, out=block)
         square += np.vdot(block, block).real
     return float(np.sqrt(square))
 
@@ -631,76 +649,33 @@ def _swap_pairing(herm: DensityMatrix, limit: float) -> tuple[tuple | None, str]
 
 
 @functools.cache
-def _real_layout(key: CanonicalKey, d: int) -> tuple | None:
-    """The basis change W of the class's subsystem involution pi, and the
-    blocks in which ``_real_form`` reads a matrix's rows; or None.
+def _real_layout(key: CanonicalKey, d: int) -> np.ndarray | None:
+    """The basis permutation s of the class's subsystem involution pi, or None.
 
     conj(h) is the Hermitian h permuted by the global transpose t, so
     sigma t sigma^-1 takes h permuted by the representative sigma to its
     conjugate.  It sends each 2k - 1 to 2 pi(k) - 1 and 2k to 2 pi(k)
     exactly for the self-paired arrow classes, whose key the transpose
     keeps; there pi swaps the tail and head of each of sigma's arrows.
-
-    pi permutes the row basis by an involution s.  W keeps each fixed point
-    e_f of s, and turns each pair x < s(x) = y into (e_x + e_y) / sqrt(2)
-    and i (e_x - e_y) / sqrt(2); then W^dagger a W is real whenever
-    a[s][:, s] == conj(a).  Returns the fixed points, the pairs' x and y,
-    and the sources (the fixed points and the x) in blocks of consecutive
-    sources, each block's fixed points first, with their count.
     """
     if not key.arrow_count or _transpose_key(key) != key:
         return None
-    pi = list(range(key.r))
-    for tail, head in _arrows_of_sets(key.heads, key.tails):
-        pi[tail - 1], pi[head - 1] = head - 1, tail - 1
-    dim = d**key.r
-    index = np.arange(dim)
-    s = index.reshape((d,) * key.r).transpose(pi).reshape(dim)
-    firsts = np.flatnonzero(index < s)
-    sources = np.flatnonzero(index <= s)
-    rows = max(1, _BLOCK_BYTES // (16 * dim))
-    blocks = []
-    for t in range(0, len(sources), rows):
-        block = sources[t : t + rows]
-        kept = s[block] == block
-        blocks.append((np.concatenate([block[kept], block[~kept]]), int(kept.sum())))
-    return np.flatnonzero(index == s), firsts, s[firsts], tuple(blocks)
+    return _involution_basis(key.r, d, _arrows_of_sets(key.heads, key.tails))
 
 
-def _real_form(a: np.ndarray, layout: tuple) -> np.ndarray:
-    """W^dagger a W as a real dim x dim matrix, written over a's own buffer.
+def _real_form(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Re a - (Im a) P, P the permutation matrix of s, written over the
+    C-contiguous a's own buffer, which no one reads afterwards.
 
-    a must be writable, C-contiguous and read by no one else afterwards, and
-    a[s][:, s] == conj(a) must hold, for the layout's s and W.  With c = a W,
-    the output rows are Re c[f] for a fixed point f, and sqrt(2) Re c[x] and
-    sqrt(2) Im c[x] for a pair x < y, because c[y] = conj(c[x]); so only
-    the sources' rows of a are read.  Row and column order leave the
-    singular values alone, so each block's output rows follow the block's
-    rows.  Blocks are read whole, in increasing order, before they are
-    written.  The t-th source is row t or later, and the at most 2t output
-    rows before it fill at most t complex rows, so no row is overwritten
-    before it is read.
+    As P a P = conj(a), which a[s][:, s] == conj(a) states, and P^2 = I,
+    U = (I + iP) / sqrt(2) is unitary and U^dagger a U is that real matrix,
+    whose entry (i, j) is Re a[i, j] - Im a[i, s[j]].  Its float64 row i lies
+    within a's complex row i // 2, so blocks of rows, each read whole before
+    it is written, in increasing order, overwrite no row before it is read.
     """
-    fixed, firsts, seconds, blocks = layout
-    dim, nf, nx = len(a), len(fixed), len(firsts)
-    out = a.view(np.float64).reshape(-1)[: dim * dim].reshape(dim, dim)
-    columns = (slice(0, nf), slice(nf, nf + nx), slice(nf + nx, dim))
-    root2, top = np.sqrt(2.0), 0
-    for rows, nkept in blocks:
-        v = a[rows]
-        kept, x, y = v[:, fixed], v[:, firsts], v[:, seconds]
-        plus, minus = x + y, x - y
-        npair = len(rows) - nkept
-        f, p = slice(None, nkept), slice(nkept, None)
-        # c = [kept, plus / sqrt(2), i minus / sqrt(2)]
-        for start, count, pieces in (
-            (top, nkept, (kept[f].real, plus[f].real / root2, minus[f].imag / -root2)),
-            (top + nkept, npair, (kept[p].real * root2, plus[p].real, -minus[p].imag)),
-            (top + nkept + npair, npair, (kept[p].imag * root2, plus[p].imag, minus[p].real)),
-        ):
-            for cols, piece in zip(columns, pieces):
-                out[start : start + count, cols] = piece
-        top += nkept + 2 * npair
+    out = a.view(np.float64).reshape(-1)[: a.size].reshape(a.shape)
+    for rows in _row_blocks(len(a)):
+        out[rows] = a[rows].real - a[rows].imag[:, s]
     return out
 
 
@@ -710,11 +685,11 @@ def _orbit_norm(herm: DensityMatrix, key: CanonicalKey, rep: Permutation) -> tup
     permuted = apply_permutation(herm, rep)
     if key.arrow_count == 0:
         return float(np.abs(_eigenvalues(permuted.entries)).sum()), "eigvalsh"
-    a, layout = permuted.entries, _real_layout(key, herm.d)
-    if layout is not None and not np.may_share_memory(a, herm.entries):
+    a, s = permuted.entries, _real_layout(key, herm.d)
+    if s is not None and not np.may_share_memory(a, herm.entries):
         # a is this call's own array, so its buffer takes the real form
         a.setflags(write=True)
-        return trace_norm(_real_form(a, layout)), "real svd"
+        return trace_norm(_real_form(a, s)), "real svd"
     return trace_norm(permuted), "svd"
 
 
@@ -744,8 +719,10 @@ def evaluate_criteria(
     certificate sqrt(dim) * ||rho - psi psi^dagger||_F, a bound on every
     norm's error, is below 1e-3 * min(tolerance, VERDICT_TOLERANCE): a
     tolerance of 0 always takes the dense route.  A self-paired arrow
-    class's matrix is unitarily similar to a real one, whose SVD is cheaper,
-    by the involution that swaps each arrow's tail and head (``_real_layout``).
+    class's matrix A has P A P = conj(A), for P the involution that swaps
+    each arrow's tail and head (``_real_layout``), so the unitary
+    U = (I + iP) / sqrt(2) takes it to the real Re A - (Im A) P, whose SVD
+    is cheaper; that form is written over A's own rows (``_real_form``).
 
     Off the pure route, classes are also paired by the subsystem swaps that
     leave the state unchanged within a certificate (``_swap_pairing``).

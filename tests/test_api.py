@@ -43,3 +43,48 @@ def test_modules_import_only_earlier_layers(index):
         if isinstance(node, ast.ImportFrom) and node.level
     }
     assert imported <= set(LAYERS[:index]), imported - set(LAYERS[:index])
+
+
+# more digits than str() may print: 4300 by default
+HUGE = 10**5000
+_KEY = permsep.enumerate_classes(2)[1]
+
+
+@pytest.mark.parametrize("call, exception, named", [
+    (lambda: permsep.maximally_mixed_state(HUGE, 2), ValueError, "2^r"),
+    (lambda: permsep.maximally_mixed_state(-HUGE, 2), ValueError, "subsystem count"),
+    (lambda: permsep.maximally_mixed_state(2, HUGE), ValueError, "local dimension"),
+    (lambda: permsep.maximally_mixed_state(2, -HUGE), ValueError, "local dimension"),
+    (lambda: permsep.swap_operator(3, 2, HUGE, 2), ValueError, "k="),
+    (lambda: permsep.swap_operator(3, 2, -HUGE, 2), ValueError, "k="),
+    (lambda: permsep.swap_operator(3, 2, 1, HUGE), ValueError, "l="),
+    (lambda: permsep.swap_operator(3, 2, 1, -HUGE), ValueError, "l="),
+    (lambda: permsep.bell_pair_state(3, 2, 1, HUGE), ValueError, "l="),
+    (lambda: permsep.bell_pair_state(3, 2, -HUGE, 2), ValueError, "k="),
+    (lambda: permsep.basis_product_state(2, 2, (0, HUGE)), ValueError, "levels"),
+    (lambda: permsep.basis_product_state(2, 2, (0, -HUGE)), ValueError, "levels"),
+    (lambda: permsep.random_state(2, 2, seed=-HUGE), ValueError, "seed"),
+    (lambda: permsep.random_separable_state(2, 2, seed=-HUGE), ValueError, "seed"),
+    (lambda: permsep.random_separable_state(2, 2, terms=-HUGE), ValueError, "product term"),
+    (lambda: permsep.detector_state(_KEY, -HUGE), ValueError, "local dimension"),
+    (lambda: permsep.group_elements(HUGE), ValueError, "r must be"),
+    (lambda: permsep.group_elements(-HUGE), ValueError, "r must be"),
+    (lambda: permsep.enumerate_classes(HUGE), ValueError, "r must be"),
+    (lambda: permsep.enumerate_classes(-HUGE), ValueError, "r must be"),
+    (lambda: permsep.parse_permutation("(1,2)", HUGE), permsep.PermutationParseError, "degree"),
+    (lambda: permsep.parse_permutation("(1,2)", -HUGE), permsep.PermutationParseError, "degree"),
+    (lambda: permsep.parse_permutation("(1,2)", HUGE + 1), permsep.PermutationParseError, "degree"),
+    (lambda: permsep.CanonicalKey(-HUGE, (), ()), ValueError, "r must be"),
+    (lambda: permsep.CanonicalKey(2, (HUGE,), (1,)), ValueError, "heads"),
+    (lambda: permsep.CanonicalKey(2, (1,), (-HUGE,)), ValueError, "tails"),
+    (lambda: permsep.Permutation((HUGE, 1)), ValueError, "images"),
+    (lambda: permsep.Permutation((-HUGE, 1)), ValueError, "images"),
+    (lambda: permsep.Permutation([HUGE, 1]), TypeError, "images"),
+    (lambda: permsep.identity(2)(HUGE), ValueError, "point"),
+])
+def test_guards_echo_huge_integers(call, exception, named):
+    # the guard's own message, not str()'s "Exceeds the limit (4300 digits)"
+    with pytest.raises(exception) as caught:
+        call()
+    message = str(caught.value)
+    assert named in message and "Exceeds the limit" not in message, message

@@ -18,7 +18,7 @@ from permsep import (
     parse_permutation,
     permutation_from_cycles,
 )
-from permsep.perms import _read_cycles, _walk
+from permsep.perms import _read_cycles, _shown, _walk
 from conftest import permutations_of_degree, property_settings, random_permutation
 
 # the grammar's characters, blanks that str.isspace accepts, and digits
@@ -243,6 +243,16 @@ class TestInvariants:
         p = Permutation(tuple(np.array([2, 1, 3, 4])))
         assert str(p) == "(1,2)"
         assert p == Permutation((2, 1, 3, 4))
+
+
+def test_messages_show_integers_in_decimal_up_to_64_bits():
+    # beyond 64 bits, by sign and bit length: str() may refuse the digits
+    assert [_shown(x) for x in (2**64 - 1, -(2**64) + 1, np.int64(-3), True)] == [
+        str(2**64 - 1), str(-(2**64) + 1), "-3", "True"
+    ]
+    assert [_shown(x) for x in (2**64, -(10**5000))] == ["<65-bit integer>", "-<16610-bit integer>"]
+    assert _shown((np.int8(1),)) == "(1,)" and _shown([2, 10**30]) == "[2, <100-bit integer>]"
+    assert [_shown(x) for x in ("3", 1.5, (), (1, "a"))] == ["'3'", "1.5", "()", "(1, 'a')"]
 
 
 class TestCompose:

@@ -796,19 +796,13 @@ class TestStructuredRoutes:
             found = 0
             for key in enumerate_classes(r):
                 pi = _conjugating_subsystems(representative_permutation(key))
-                layout = states._real_layout(key, 2)
-                assert (layout is not None) == (pi is not None), key.render()
+                s = states._real_layout(key, 2)
+                assert (s is not None) == (pi is not None), key.render()
                 if pi is None:
                     continue
                 assert sorted(pi) == list(range(1, r + 1))
                 assert all(pi[pi[k] - 1] == k + 1 for k in range(r))
-                # the row basis permutation of pi
-                index = np.arange(2**r)
-                s = index.reshape((2,) * r).transpose([k - 1 for k in pi]).reshape(2**r)
-                fixed, firsts, seconds, _ = layout
-                assert np.array_equal(fixed, np.flatnonzero(index == s))
-                assert np.array_equal(firsts, np.flatnonzero(index < s))
-                assert np.array_equal(seconds, s[firsts])
+                assert np.array_equal(s, _subsystem_basis(r, 2, pi))
                 found += 1
             assert found == count
 
@@ -816,30 +810,28 @@ class TestStructuredRoutes:
     def test_real_form_is_exactly_real(self, r, d):
         m = random_state(r, d, seed=11).entries
         herm = DensityMatrix(r, d, (m + m.conj().T) / 2)
+        dim = d**r
         for key in _self_paired_arrow_classes(r):
             rep = representative_permutation(key)
             pi = _conjugating_subsystems(rep)
             a = apply_permutation(herm, rep).entries
             moved = Permutation(tuple(p for k in pi for p in (2 * k - 1, 2 * k)))
             assert np.array_equal(apply_permutation(DensityMatrix(r, d, a), moved).entries, a.conj())
-            fixed, firsts, seconds, _ = states._real_layout(key, d)
-            # W^dagger a W by row and column slicing, in complex arithmetic
-            h = 1 / np.sqrt(2)
-            c = np.concatenate(
-                [a[:, fixed], (a[:, firsts] + a[:, seconds]) * h, (a[:, firsts] - a[:, seconds]) * (1j * h)],
-                axis=1,
-            )
-            form = np.concatenate([c[fixed], (c[firsts] + c[seconds]) * h, (c[firsts] - c[seconds]) * (-1j * h)])
+            # P a P = conj(a) for the basis permutation matrix P of pi, and
+            # U = (I + iP) / sqrt(2) is unitary since P^2 = I
+            p = np.zeros((dim, dim))
+            p[np.arange(dim), _subsystem_basis(r, d, pi)] = 1
+            assert np.array_equal(p @ a @ p, a.conj())
+            v = np.eye(dim) + 1j * p
+            u = v / np.sqrt(2)
+            assert np.allclose(u.conj().T @ u, np.eye(dim), rtol=0, atol=1e-15)
+            # U^dagger a U as V^dagger a V / 2: V's entries 0, 1, i and 1 + i
+            # multiply without rounding, so the imaginary parts cancel exactly
+            form = v.conj().T @ a @ v / 2
             assert not form.imag.any()
-            w = np.zeros((d**r, d**r), dtype=complex)
-            w[fixed, np.arange(len(fixed))] = 1
-            plus, minus = len(fixed) + np.arange(len(firsts)), len(fixed) + len(firsts) + np.arange(len(firsts))
-            w[firsts, plus], w[seconds, plus] = h, h
-            w[firsts, minus], w[seconds, minus] = 1j * h, -1j * h
-            assert np.allclose(w.conj().T @ w, np.eye(d**r), atol=1e-15)
-            assert np.allclose(w.conj().T @ a @ w, form, atol=1e-15)
             real = states._real_form(a.copy(), states._real_layout(key, d))
             assert real.dtype == np.float64
+            assert np.allclose(real, form.real, rtol=0, atol=1e-15)
             want = np.linalg.svd(form.real, compute_uv=False)
             assert np.allclose(np.linalg.svd(real, compute_uv=False), want, rtol=0, atol=1e-15)
 
@@ -971,6 +963,29 @@ class TestSwapPairing:
                 image = _reduced_key(r, [move.get(h, h) for h in key.heads], [move.get(t, t) for t in key.tails])
                 want = trace_norm(apply_permutation(rho, representative_permutation(image)))
                 assert _close(trace_norm(apply_permutation(swapped, rep)), want), key.render()
+
+    @settings(property_settings, max_examples=40)
+    @given(st.data())
+    def test_a_subsystem_permutation_relabels_the_report(self, data):
+        # P rho P^dagger = rho[s][:, s] carries rho's subsystem pi(k) as its
+        # subsystem k, so its whole report is rho's with each key (H, T) read
+        # at (pi(H), pi(T)), whichever routes the two evaluations take: dense,
+        # eigvalsh, real, pure or swap-paired
+        r, d = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 9), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]))
+        pi = data.draw(st.permutations(range(1, r + 1)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        make = data.draw(st.sampled_from([random_state, random_separable_state, _pure, _rotated_noisy_ghz]))
+        rho = make(r, d, seed=seed)
+        s = _subsystem_basis(r, d, pi)
+        moved = evaluate_criteria(DensityMatrix(r, d, rho.entries[np.ix_(s, s)]))
+        report = evaluate_criteria(rho)
+        norms = {rec.key: rec.norm for rec in report.records}
+        assert len(moved.records) == len(norms)
+        for rec in moved.records:
+            image = _reduced_key(r, [pi[h - 1] for h in rec.key.heads], [pi[t - 1] for t in rec.key.tails])
+            assert abs(rec.norm - norms[image]) <= 1e-12 * norms[image], rec.key.render()
+        assert abs(moved.max_norm - report.max_norm) <= 1e-12 * report.max_norm
+        assert moved.verdict == report.verdict
 
     @settings(property_settings, max_examples=40)
     @given(st.data())
@@ -1474,6 +1489,47 @@ class TestBlasThreads:
         finally:
             set_(caller)
 
+    @openblas
+    @pytest.mark.parametrize("r, d, inside", [(7, 2, 1), (2, 20, 2)], ids=["dim-128", "dim-400"])
+    def test_public_trace_norm_threads(self, monkeypatch, r, d, inside):
+        # a dim-128 call leaves no OpenBLAS helper thread spinning into what
+        # follows; a large one keeps the caller's 2
+        get, set_ = _lapack._openblas_threads()
+        caller = get()
+        m = random_state(r, d, seed=1).entries
+        want = float(np.linalg.svd(m, compute_uv=False).sum())
+        seen = self._record_threads(monkeypatch, "_singular_values")
+        try:
+            set_(2)
+            assert abs(trace_norm(m) - want) <= 1e-12 * want
+            assert seen == [inside]
+            assert get() == 2
+        finally:
+            set_(caller)
+
+    @openblas
+    def test_evaluation_sets_the_count_twice(self, monkeypatch):
+        # the evaluation's scope sets one thread and restores the caller's;
+        # the 220 trace_norm scopes inside it, on two workers, find 1 and
+        # leave the count alone
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1})
+        get, set_ = _lapack._openblas_threads()
+        caller, calls = get(), []
+
+        def counting_set(count):
+            calls.append(count)
+            set_(count)
+
+        rho = random_state(6, 2, seed=1)
+        monkeypatch.setattr(_lapack, "_openblas_threads", lambda: (get, counting_set))
+        try:
+            set_(2)
+            _, message = _logged_evaluation(rho)
+            assert message.endswith(", 1 blas thread, 2 workers"), message
+            assert calls == [1, 2]
+        finally:
+            set_(caller)
+
     def test_missing_symbols_change_nothing(self, monkeypatch, caplog):
         # without the symbols, every norm is the per-class route's, bit for bit
         monkeypatch.setattr(_lapack, "_openblas_threads", lambda: None)
@@ -1488,11 +1544,11 @@ class TestBlasThreads:
                 assert rec.norm == report.records[partner].norm
                 continue
             permuted = apply_permutation(rho, rec.representative).entries
-            layout = states._real_layout(rec.key, 2)
+            s = states._real_layout(rec.key, 2)
             if rec.key.arrow_count == 0:
                 assert rec.norm == float(np.abs(np.linalg.eigvalsh(permuted)).sum())
-            elif layout is not None:  # a self-paired class: the norm of its real form
-                real = states._real_form(permuted.copy(), layout)
+            elif s is not None:  # a self-paired class: the norm of its real form
+                real = states._real_form(permuted.copy(), s)
                 assert rec.norm == trace_norm(real)
             else:
                 assert rec.norm == trace_norm(permuted)
