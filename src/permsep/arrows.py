@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, compose, cycle_decomposition, inverse
-from .perms import permutation_from_cycles, _cycles_of_images, _parity_kind
+from .perms import _built, _check_degree, _cycles_of_images, _parity_kind
 from .perms import _check_integer, _render_cycles, _shown
 
 __all__ = [
@@ -255,32 +255,33 @@ def _prune_cycles(
 ) -> list[list[int]]:
     """Drop points that sit next to an equal-parity point, cyclically.
 
-    Scans each cycle left to right, removes the first point of the first
-    matching pair, and restarts; the removal multiplies the permutation by
-    the transposition of the pair, which preserves parity.
+    Scans each cycle once, left to right, and removes the first point of
+    each matching pair; the removal multiplies the permutation by the
+    transposition of the pair, which preserves parity.  After c[i] goes,
+    its left neighbour c[i-1] (of the other parity than c[i]) meets c[i+1]
+    (of the same parity as c[i]), so the pairs left of i still alternate
+    and the scan goes on at i: the same removals, in the same order, as a
+    scan that restarts from the front after each one.
     """
     work = [list(c) for c in cycles]
-    for ci in range(len(work)):
-        c = work[ci]
-        changed = True
-        while changed and len(c) > 1:
-            changed = False
-            for i in range(len(c)):
-                n1 = c[i]
-                n2 = c[(i + 1) % len(c)]
-                if (n1 ^ n2) & 1 == 0:
-                    del c[i]
-                    if steps is not None:
-                        steps.append(
-                            RewriteStep(
-                                rule="prune",
-                                detail=f"drop {n1} (equal parity neighbour {n2})",
-                                multiplier=((n1, n2),),
-                                state=_render_cycles([x for x in work if len(x) > 1]),
-                            )
-                        )
-                    changed = True
-                    break
+    for c in work:
+        i = 0
+        while len(c) > 1 and i < len(c):
+            n1 = c[i]
+            n2 = c[(i + 1) % len(c)]
+            if (n1 ^ n2) & 1:
+                i += 1
+                continue
+            del c[i]
+            if steps is not None:
+                steps.append(
+                    RewriteStep(
+                        rule="prune",
+                        detail=f"drop {n1} (equal parity neighbour {n2})",
+                        multiplier=((n1, n2),),
+                        state=_render_cycles([x for x in work if len(x) > 1]),
+                    )
+                )
     return [c for c in work if len(c) > 1]
 
 
@@ -350,10 +351,22 @@ def _arrows_of_sets(heads: Iterable[int], tails: Iterable[int]) -> list[tuple[in
 
 
 def _permutation_of_arrows(r: int, arrows: Iterable[tuple[int, int]]) -> Permutation:
-    """Product of the arrows' transpositions, composed in the given order."""
-    return permutation_from_cycles(
-        [_transposition_of_arrow(t, h) for t, h in arrows], 2 * r
-    )
+    """Product of the arrows' transpositions, composed in the given order.
+
+    The arrows must lie on subsystems 1..r.  Each factor (a, b) swaps the
+    values a and b among the images, found through the index of where each
+    value sits; a product of transpositions is a bijection, so the result
+    skips the constructor's check.
+    """
+    _check_degree(2 * r)
+    images = list(range(2 * r + 1))  # 1-based, images[0] unused
+    where = images[:]
+    for t, h in arrows:
+        a, b = _transposition_of_arrow(t, h)
+        i, j = where[a], where[b]
+        images[i], images[j] = b, a
+        where[a], where[b] = j, i
+    return _built(tuple(images[1:]))
 
 
 def _exchanged(
@@ -504,6 +517,18 @@ def _configuration(r: int, arrows: Iterable[tuple[int, int]]) -> ArrowConfigurat
     return ArrowConfiguration(r, frozenset(Arrow(t, h) for t, h in arrows))
 
 
+def _rewritten(r: int, arrows: Iterable[tuple[int, int]]) -> ArrowConfiguration:
+    """The configuration of the rewrite route's (tail, head) pairs.
+
+    Skips the constructor's checks: chop yields disjoint transpositions, so
+    heads and tails are unique subsystems of 1..r, and every exchange of
+    heads keeps both sets.
+    """
+    config = object.__new__(ArrowConfiguration)
+    config.__dict__.update(r=r, arrows=frozenset(Arrow(t, h) for t, h in arrows))
+    return config
+
+
 # --- public operations -------------------------------------------------------
 
 
@@ -577,7 +602,7 @@ def normal_form(sigma: Permutation) -> ArrowConfiguration:
     heads (lowest tail first) until no arrow's head is another's tail.
     The result differs from sigma by a norm-preserving right factor.
     """
-    return _configuration(sigma.subsystems, _rewrite(sigma.images))
+    return _rewritten(sigma.subsystems, _rewrite(sigma.images))
 
 
 def canonical_key(sigma: Permutation) -> CanonicalKey:
@@ -630,7 +655,7 @@ def equivalent(sigma: Permutation, tau: Permutation) -> bool:
 def canonicalize(sigma: Permutation) -> CanonicalizationTrace:
     """Full canonicalization with a step-by-step rewrite trace."""
     steps: list[RewriteStep] = []
-    config = _configuration(sigma.subsystems, _rewrite(sigma.images, steps))
+    config = _rewritten(sigma.subsystems, _rewrite(sigma.images, steps))
     return CanonicalizationTrace(
         degree=sigma.degree,
         input_cycles=cycle_decomposition(sigma),

@@ -9,7 +9,7 @@ import sys
 import click
 
 from .perms import PermutationParseError, _render_cycles, _shown, parse_permutation
-from .arrows import _equivalence, canonicalize
+from .arrows import _equivalence, canonicalize, type_label
 from .normgroup import (
     MAX_CLASS_R,
     class_count,
@@ -148,10 +148,8 @@ def list_classes(subsystems: int, fmt: str) -> None:
         if key.is_trivial:
             continue
         rep = representative_permutation(key)
-        click.echo(
-            f"{key.arrow_count:>3} {key.loop_count:>3}  {key.type_label:<8} "
-            f"{key.render():<28} {rep}"
-        )
+        a, l = key.arrow_count, key.loop_count
+        click.echo(f"{a:>3} {l:>3}  {type_label(a, l):<8} {key.render():<28} {rep}")
     click.echo("")
     click.echo("census by type:")
     click.echo(f"{'label':<8} {'flip-partner':<13} classes")

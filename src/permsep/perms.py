@@ -69,7 +69,13 @@ def _check_integer(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {1, ..., degree}; ``images[k - 1]`` is the image of point k."""
+    """A bijection of {1, ..., degree}; ``images[k - 1]`` is the image of point k.
+
+    The constructor checks its images.  Permutations that the library has
+    just built and proven valid skip that re-check (``_built``): the
+    str-method parse of cycle text, ``compose``, ``inverse`` and products
+    of arrow transpositions (``arrows._permutation_of_arrows``).
+    """
 
     images: tuple[int, ...]
 
@@ -107,12 +113,35 @@ class Permutation:
         return _render_cycles(_cycles_of_images(self.images))
 
 
+def _built(images: tuple[int, ...]) -> Permutation:
+    """The permutation with these images, which the caller has just built
+    and proven a bijection of 1..n, n even and >= 2.
+
+    Skips the constructor's check, which would only repeat that proof.
+    """
+    sigma = object.__new__(Permutation)
+    sigma.__dict__["images"] = images
+    return sigma
+
+
+def _check_degree(degree, error: type[ValueError] = ValueError) -> None:
+    """The degree rule: an integer, even, >= 2 and no larger than any
+    sequence can be; a fault raises ``error`` (TypeError for a non-integer)."""
+    _check_integer("degree", degree)
+    if degree < 2 or degree % 2 != 0:
+        raise error(f"degree must be a positive even integer, got {_shown(degree)}")
+    if degree > sys.maxsize:  # no sequence is that long
+        raise error(f"degree {_shown(degree)} exceeds sys.maxsize")
+
+
 def identity(degree: int) -> Permutation:
+    _check_degree(degree)
     return Permutation(tuple(range(1, degree + 1)))
 
 
 def global_transpose(degree: int) -> Permutation:
     """The full-transpose permutation (1,2)(3,4)...(2r-1,2r)."""
+    _check_degree(degree)  # before a factor list as long as the degree
     return permutation_from_cycles([(k, k + 1) for k in range(1, degree, 2)], degree)
 
 
@@ -121,14 +150,14 @@ def compose(first: Permutation, second: Permutation) -> Permutation:
     if first.degree != second.degree:
         raise ValueError(f"degree mismatch: {first.degree} vs {second.degree}")
     s = second.images
-    return Permutation(tuple(s[x - 1] for x in first.images))
+    return _built(tuple(s[x - 1] for x in first.images))
 
 
 def inverse(sigma: Permutation) -> Permutation:
     inv = [0] * sigma.degree
     for point, img in enumerate(sigma.images, start=1):
         inv[img - 1] = point
-    return Permutation(tuple(inv))
+    return _built(tuple(inv))
 
 
 def _parity_kind(images: Sequence[int]) -> str | None:
@@ -184,6 +213,7 @@ def permutation_from_cycles(
     listed order.  Used to rebuild permutations from decompositions and to
     materialize rewrite multipliers.
     """
+    _check_degree(degree)
     images = list(range(1, degree + 1))
     for cyc in cycles:
         if len(cyc) < 2:
@@ -217,16 +247,10 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     fault, goes to the token walker, which alone reports errors.  Both
     routes give the same images for the text they both accept.
     """
-    _check_integer("degree", degree)
-    if degree < 2 or degree % 2 != 0:
-        raise PermutationParseError(
-            f"degree must be a positive even integer, got {_shown(degree)}"
-        )
-    if degree > sys.maxsize:  # no sequence is that long
-        raise PermutationParseError(f"degree {_shown(degree)} exceeds sys.maxsize")
+    _check_degree(degree, PermutationParseError)
     images = _read_cycles(text, degree)
-    if images is not None:
-        return Permutation(tuple(images))
+    if images is not None:  # a bijection: see _read_cycles
+        return _built(tuple(images))
     return _walk(text, degree)
 
 

@@ -34,7 +34,9 @@ from permsep import (
     type_label,
 )
 from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _transpose_key
+from permsep.arrows import RewriteStep, _configuration, _prune_cycles, _rewrite, _rewritten
 from permsep.arrows import key_of_configuration
+from permsep.perms import _cycles_of_images, _render_cycles
 from conftest import (
     coset_partition_bruteforce,
     parity_profile,
@@ -65,6 +67,58 @@ class TestPrune:
             for cyc in prune([list(c) for c in canonicalize(p).input_cycles]):
                 for i in range(len(cyc)):
                     assert (cyc[i] % 2) != (cyc[(i + 1) % len(cyc)] % 2)
+
+    def test_one_pass_matches_restarting_scan_exhaustively(self):
+        # all of S_2, S_4, S_6 and S_8: 41066 permutations
+        for r in range(1, 5):
+            for images in itertools.permutations(range(1, 2 * r + 1)):
+                _assert_prunes_agree(_cycles_of_images(images))
+
+    @property_settings
+    @given(st.integers(5, 12).flatmap(permutations_of_degree))
+    def test_one_pass_matches_restarting_scan_at_large_r(self, sigma):
+        _assert_prunes_agree(_cycles_of_images(sigma.images))
+
+    @property_settings
+    @given(st.lists(st.lists(st.integers(1, 9), max_size=8), max_size=4))
+    def test_one_pass_matches_restarting_scan_on_any_cycles(self, cycles):
+        # the public prune takes any cycles, repeats and 1-cycles included
+        _assert_prunes_agree(cycles)
+
+
+def _prune_restarting(cycles, steps):
+    """The reference prune: after each removal the scan starts again at
+    the front of the cycle."""
+    work = [list(c) for c in cycles]
+    for c in work:
+        changed = True
+        while changed and len(c) > 1:
+            changed = False
+            for i in range(len(c)):
+                n1, n2 = c[i], c[(i + 1) % len(c)]
+                if (n1 ^ n2) & 1 == 0:
+                    del c[i]
+                    steps.append(
+                        RewriteStep(
+                            rule="prune",
+                            detail=f"drop {n1} (equal parity neighbour {n2})",
+                            multiplier=((n1, n2),),
+                            state=_render_cycles([x for x in work if len(x) > 1]),
+                        )
+                    )
+                    changed = True
+                    break
+    return [c for c in work if len(c) > 1]
+
+
+def _assert_prunes_agree(cycles):
+    want_steps, got_steps = [], []
+    want = _prune_restarting(cycles, want_steps)
+    assert _prune_cycles(cycles, got_steps) == want
+    assert _prune_cycles(cycles, None) == want
+    # RewriteStep compares its fields in order, as dataclasses.astuple()
+    # would, without astuple's deep copy (a second over S_8)
+    assert got_steps == want_steps
 
 
 class TestChop:
@@ -265,6 +319,20 @@ class TestNormalForm:
         for r in range(1, 6):
             nf = normal_form(global_transpose(2 * r))
             assert nf == config(r, *[(k, k) for k in range(1, r + 1)])
+
+    def test_rewritten_configuration_passes_the_public_checks(self):
+        # normal_form and canonicalize skip the constructor's checks
+        for r in range(1, 5):
+            for images in itertools.permutations(range(1, 2 * r + 1)):
+                arrows = _rewrite(images)
+                assert _rewritten(r, arrows) == _configuration(r, arrows)
+
+    @property_settings
+    @given(st.integers(5, 12).flatmap(permutations_of_degree))
+    def test_rewritten_configuration_passes_the_public_checks_at_large_r(self, sigma):
+        arrows = _rewrite(sigma.images)
+        config = _configuration(sigma.subsystems, arrows)
+        assert _rewritten(sigma.subsystems, arrows) == config == normal_form(sigma)
 
     def test_always_disjoint_and_coset_sound(self):
         rng = np.random.default_rng(31)

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from permsep import (
     parse_permutation,
     permutation_from_cycles,
 )
+from permsep.arrows import _permutation_of_arrows
 from permsep.perms import _read_cycles, _shown, _walk
 from conftest import permutations_of_degree, property_settings, random_permutation
 
@@ -217,6 +219,83 @@ class TestParse:
         p = parse_permutation("(1,2)", 8)
         assert p.degree == 8
         assert p(7) == 7
+
+
+def _passes_the_constructor(p):
+    """True when the checked constructor accepts p's images and gives p."""
+    return type(p.images) is tuple and Permutation(p.images) == p
+
+
+class TestBuiltWithoutRecheck:
+    """Results that skip the constructor's check, against the constructor."""
+
+    @property_settings
+    @given(
+        st.one_of(
+            st.integers(1, 12).flatmap(permutations_of_degree).map(lambda p: (str(p), p.degree)),
+            _faulty_cycle_text(),
+        )
+    )
+    def test_str_route_parse(self, case):
+        text, degree = case
+        if _read_cycles(text, degree) is not None:
+            assert _passes_the_constructor(parse_permutation(text, degree))
+
+    @property_settings
+    @given(st.integers(1, 12).flatmap(lambda r: st.tuples(*[permutations_of_degree(r)] * 2)))
+    def test_compose_and_inverse(self, pair):
+        a, b = pair
+        product, inv = compose(a, b), inverse(a)
+        assert _passes_the_constructor(product) and _passes_the_constructor(inv)
+        assert product.images == tuple(b(a(x)) for x in range(1, a.degree + 1))
+        assert all(inv(a(x)) == x for x in range(1, a.degree + 1))
+
+    @property_settings
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda r: st.tuples(
+                st.just(r), st.lists(st.tuples(st.integers(1, r), st.integers(1, r)), max_size=12)
+            )
+        )
+    )
+    def test_product_of_arrows(self, case):
+        # any list of arrows, so chains, repeats and shared heads too
+        r, arrows = case
+        cycles = [(2 * t - 1, 2 * t) if t == h else (2 * t, 2 * h - 1) for t, h in arrows]
+        p = _permutation_of_arrows(r, arrows)
+        assert _passes_the_constructor(p)
+        assert p == permutation_from_cycles(cycles, 2 * r)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        identity,
+        global_transpose,
+        lambda degree: permutation_from_cycles([(1, 2)], degree),
+        lambda degree: parse_permutation("(1,2)", degree),
+    ],
+    ids=["identity", "global_transpose", "permutation_from_cycles", "parse_permutation"],
+)
+@pytest.mark.parametrize(
+    "degree, error, message",
+    [
+        (10**5000, ValueError, r"^degree <16610-bit integer> exceeds sys\.maxsize$"),
+        (sys.maxsize + 1, ValueError, rf"^degree {sys.maxsize + 1} exceeds sys\.maxsize$"),
+        (-(10**5000), ValueError, "^degree must be a positive even integer, got -<16610-bit integer>$"),
+        (-3, ValueError, "^degree must be a positive even integer, got -3$"),
+        (0, ValueError, "^degree must be a positive even integer, got 0$"),
+        (5, ValueError, "^degree must be a positive even integer, got 5$"),
+        (2.0, TypeError, r"^degree must be an integer, got 2\.0$"),
+        (True, TypeError, "^degree must be an integer, got True$"),
+    ],
+    ids=["huge", "maxsize+1", "huge-negative", "negative", "zero", "odd", "float", "bool"],
+)
+def test_constructors_share_the_degree_rule(build, degree, error, message):
+    # these used to overflow in range() or report the length they built
+    with pytest.raises(error, match=message):
+        build(degree)
+    assert build(np.int64(4)).degree == 4
 
 
 class TestInvariants:
