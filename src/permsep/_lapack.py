@@ -1,10 +1,10 @@
 """Foreign calls into numpy's bundled OpenBLAS, and the thread policy.
 
-This module owns every ``ctypes`` call of the package: the OpenBLAS thread
-count, the LAPACK routines that decompose without holding the GIL, the
-in-place Cholesky test, and the worker threads that share an evaluation's
-orbits.  It imports no permsep module.  Without numpy's bundled OpenBLAS
-each entry point falls back to np.linalg, or leaves the thread count alone.
+This module owns every ``ctypes`` call of the package, the OpenBLAS thread
+count and the in-place Cholesky test, and the worker threads that share an
+evaluation's stacks of orbits.  It imports no permsep module.  Without
+numpy's bundled OpenBLAS the Cholesky test falls back to np.linalg, and the
+thread count is left alone.
 """
 
 from __future__ import annotations
@@ -31,22 +31,27 @@ import numpy as np
 # dims 64-256 equal within noise).
 _ONE_THREAD_MAX_DIM = 361
 # On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
-# evaluation's orbits among up to _MAX_WORKERS threads, since the LAPACK
-# layer below releases the GIL, which np.linalg holds for one matrix up to
-# dim 256 at least.  Two workers against the serial route, medians of
-# alternating evaluations on a 2-core host: dim 8 0.29x, 16 0.51x, 27 0.81x;
-# 32 1.43x, 64 1.33-1.71x, 81 1.63x, 125 1.62x, 128 1.92x.  Starting a
-# thread costs about 0.2 ms, and more while the host takes CPU time away.
-# Above _WORKER_MAX_DIM, a second matrix in flight and the layer's buffer
-# would each add one matrix to an evaluation's traced peak, which is 1.2x
-# one matrix at dim 256 (16^2), so dims 129-361 stay serial, on np.linalg.
-# Only two workers have been measured.  A third would save a sixth of the
-# serial time where the second saves half, for another thread start; and
+# evaluation's stacks of orbits among up to _MAX_WORKERS threads.  np.linalg
+# holds the GIL while it decomposes a stack of k dim-n matrices unless
+# k * n > _GIL_RELEASE_SIZE, numpy's threshold for releasing it in a ufunc
+# loop.  On a 2-core host two threads overlapped 1.5-2.0x on stacks of 4
+# dim-128, 8 dim-64, 16 dim-32 or 5 dim-125 SVDs, and at most 1.2x on stacks
+# of 3 dim-128, 4 dim-64 or 4 dim-125 SVDs, or on one dim-500 SVD.  So a
+# second worker starts only for a second stack that releases the GIL.  Two
+# workers against one, medians of alternating evaluations on a 2-core host:
+# dim 64 1.9x, 81 1.1-1.6x and 128 1.7-2.1x; but 0.7-0.8x at dim 32 (r = 5:
+# one stack of 55 SVDs, and one of 15 eigvalsh, which holds the GIL) and
+# 0.8-1.0x at dim 125 (r = 3: stacks of 3), which this rule keeps serial.
+# Above _WORKER_MAX_DIM a stack holds at most 3 matrices, too few to release
+# the GIL, and from dim 182 on one; so dims 129-361 stay serial.  Only two
+# workers have been measured.  A third would save a sixth of the serial time
+# where the second saves half, for another thread start; and
 # os.sched_getaffinity does not see a cgroup's CPU quota, so without the cap
 # a container given 2 CPUs of a large host would start one per host CPU.
 _WORKER_MIN_DIM = 32
 _WORKER_MAX_DIM = 128
 _MAX_WORKERS = 2
+_GIL_RELEASE_SIZE = 500
 
 
 @functools.cache
@@ -88,7 +93,7 @@ def _openblas_threads():
 # arguments).  Fortran passes every argument by reference, and the length
 # of each character flag hidden at the end.  The library is ILP64: its
 # integers are 64-bit.
-_LAPACK_ARGUMENTS = {"zpotrf": (1, 4), "zgesdd": (1, 14), "dgesdd": (1, 13), "zheevd": (2, 11)}
+_LAPACK_ARGUMENTS = {"zpotrf": (1, 4)}
 
 
 @functools.cache
@@ -129,124 +134,19 @@ def _factor_in_place(a: np.ndarray) -> bool:
     return not integers[1]
 
 
-# --- the LAPACK layer ------------------------------------------------------------
-#
-# np.linalg keeps the GIL while it decomposes one matrix, so threads over it
-# take turns.  These kernels call the same routines with the same workspace
-# sizes on the same Fortran-order copy of the operand, so their values are
-# bitwise numpy's, but through ctypes, which releases the GIL.  Each thread
-# keeps one operand buffer, which all three routines share, and each
-# routine's workspace, for the last dim it saw.
-
-_SVD_ROUTINES = {np.dtype(np.complex128): "zgesdd", np.dtype(np.float64): "dgesdd"}
-_LAPACK_ERRORS = {
-    "zgesdd": "SVD did not converge",
-    "dgesdd": "SVD did not converge",
-    "zheevd": "Eigenvalues did not converge",
-}
-_lapack_buffers = threading.local()
-
-
-def _lapack_call(name: str, n: int, sizes: tuple[int, ...], buffer: np.ndarray) -> tuple:
-    """(operand, values, integers, arguments, work) for routine ``name`` at
-    dim n with jobz 'N' (and uplo 'L'), with work arrays of the given sizes,
-    or of one element each for -1, LAPACK's workspace query.  The operand is
-    a Fortran-order view of the complex128 buffer of n * n entries, in the
-    routine's dtype.  ``integers`` holds n, lda, the U and VT leading
-    dimension 1, the work sizes and, last, info; ``arguments`` point at these
-    arrays, so the tuple keeps them alive.
-    """
-    dtype = np.float64 if name == "dgesdd" else np.complex128
-    operand = buffer.view(dtype)[: n * n].reshape((n, n), order="F")
-    values = np.empty(n)
-    integers = np.array([n, max(1, n), 1, *sizes, 0], dtype=np.int64)
-    size, lda, one, lwork, *rest = (integers.ctypes.data + 8 * k for k in range(len(integers)))
-    info = rest.pop()
-    head = (size, operand.ctypes.data, lda, values.ctypes.data)
-    if name == "zheevd":
-        work = [np.empty(max(1, k), t) for k, t in zip(sizes, (np.complex128, np.float64, np.int64))]
-        lrwork, liwork = rest
-        arguments = (b"N", b"L", *head, work[0].ctypes.data, lwork,
-                     work[1].ctypes.data, lrwork, work[2].ctypes.data, liwork, info, 1, 1)
-        return operand, values, integers, arguments, work
-    # jobz 'N' reads neither U nor VT; numpy sizes rwork and iwork the same way
-    work = [np.empty(max(1, sizes[0]), dtype)]
-    unused = np.empty(1, dtype)
-    iwork = np.empty(max(1, 8 * n), np.int64)
-    rwork = [np.empty(max(1, 7 * n))] if name == "zgesdd" else []
-    arguments = (b"N", size, *head, unused.ctypes.data, one, unused.ctypes.data, one,
-                 work[0].ctypes.data, lwork, *(r.ctypes.data for r in rwork),
-                 iwork.ctypes.data, info, 1)
-    return operand, values, integers, arguments, work + [unused, iwork, *rwork]
-
-
-@functools.cache
-def _work_sizes(name: str, n: int) -> tuple[int, ...]:
-    """LAPACK's workspace sizes for routine ``name`` at dim n, as numpy reads
-    them: lwork for gesdd, (lwork, lrwork, liwork) for heevd."""
-    queries = 3 if name == "zheevd" else 1
-    buffer = np.empty(n * n, np.complex128)
-    _, _, _, arguments, work = _lapack_call(name, n, (-1,) * queries, buffer)
-    _lapack(name)(*arguments)
-    return tuple(max(1, int(w[0].real)) for w in work[:queries])
-
-
-def _lapack_values(name: str, m: np.ndarray) -> np.ndarray:
-    """The singular values (gesdd) or the eigenvalues of the lower triangle
-    (heevd) of the square m, computed by routine ``name`` in this thread's
-    buffers; raises numpy's LinAlgError when LAPACK's info is not 0."""
-    n = len(m)
-    held = _lapack_buffers.__dict__
-    if held.get("n") != n:
-        held.clear()
-        held.update(n=n, buffer=np.empty(n * n, np.complex128))
-    if name not in held:
-        held[name] = _lapack_call(name, n, _work_sizes(name, n), held["buffer"])
-    operand, values, integers, arguments, _ = held[name]
-    operand[...] = m
-    _lapack(name)(*arguments)
-    if integers[-1]:
-        raise np.linalg.LinAlgError(_LAPACK_ERRORS[name])
-    return values.copy()
-
-
-def _in_window(m: np.ndarray) -> bool:
-    # outside the worker window no thread can gain, so numpy keeps the call
-    return _WORKER_MIN_DIM <= len(m) <= _WORKER_MAX_DIM
-
-
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """np.linalg.svd(m, compute_uv=False) of the square m, through the LAPACK
-    layer for complex128 and float64 operands in the worker window."""
-    name = _SVD_ROUTINES.get(m.dtype)
-    if name is None or not _in_window(m) or _lapack(name) is None:
-        return np.linalg.svd(m, compute_uv=False)
-    return _lapack_values(name, m)
-
-
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(m) of the square m, through the LAPACK layer for
-    complex128 operands in the worker window."""
-    if m.dtype != np.complex128 or not _in_window(m) or _lapack("zheevd") is None:
-        return np.linalg.eigvalsh(m)
-    return _lapack_values("zheevd", m)
-
-
 # --- workers and BLAS threads ------------------------------------------------------
 
 
-def _worker_count(dim: int, orbits: int) -> int:
-    """The threads, the caller included, that share an evaluation's orbits on
-    the one-thread route: up to _MAX_WORKERS, one per usable CPU and at most
-    one per two orbits, for dims in the worker window when every LAPACK
-    kernel is there; else 1."""
+def _worker_count(dim: int, stacks: list[int]) -> int:
+    """The threads, the caller included, that share an evaluation's stacks
+    of dim-dim matrices, of the given sizes, on the one-thread route: up to
+    _MAX_WORKERS, one per usable CPU and at most one per stack that
+    np.linalg decomposes without holding the GIL, for dims in the worker
+    window; else 1."""
     if not _WORKER_MIN_DIM <= dim <= _WORKER_MAX_DIM:
         return 1
-    if any(_lapack(name) is None for name in ("zgesdd", "dgesdd", "zheevd")):
-        return 1
-    # a worker with a single orbit to take saves at most that one decomposition
-    # and pays a thread start: at r = 2, with 2 orbits, that lost up to dim 81
-    return max(1, min(_MAX_WORKERS, len(os.sched_getaffinity(0)), orbits // 2))
+    free = sum(size * dim > _GIL_RELEASE_SIZE for size in stacks)
+    return max(1, min(_MAX_WORKERS, len(os.sched_getaffinity(0)), free))
 
 
 def _share(jobs: list, task, workers: int) -> None:

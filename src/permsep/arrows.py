@@ -87,13 +87,16 @@ class ArrowConfiguration:
     arrows: frozenset[Arrow]
 
     def __post_init__(self) -> None:
+        _check_integer("r", self.r)
+        if self.r < 1:
+            raise ValueError(f"r must be positive, got {_shown(self.r)}")
         # a loop occupies its subsystem as both head and tail, so the two
         # uniqueness checks also ban arrows touching a loop's subsystem
         heads: set[int] = set()
         tails: set[int] = set()
         for a in sorted(self.arrows):
             if not (1 <= a.tail <= self.r and 1 <= a.head <= self.r):
-                raise ValueError(f"arrow {a.render()} leaves subsystems 1..{self.r}")
+                raise ValueError(f"arrow {a.render()} leaves subsystems 1..{_shown(self.r)}")
             if a.head in heads:
                 raise ValueError(f"two arrows share head {a.head}")
             if a.tail in tails:

@@ -18,6 +18,7 @@ import functools
 import itertools
 import logging
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 
@@ -26,8 +27,7 @@ import numpy as np
 from .perms import Permutation, _check_integer, _shown
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
-from ._lapack import _blas_threads_for, _eigenvalues, _factor_in_place, _share
-from ._lapack import _singular_values, _worker_count
+from ._lapack import _blas_threads_for, _factor_in_place, _share, _worker_count
 
 __all__ = [
     "MAX_DIM",
@@ -63,6 +63,12 @@ VERDICT_TOLERANCE = 1e-9
 
 # bytes of the block of rows that each blockwise O(dim^2) pass reads at a time
 _BLOCK_BYTES = 1 << 16
+# bytes of the complex matrices, and at least one, that an evaluation's dense
+# route stacks into one np.linalg call: 4 at dim 128 and 1 from dim 182 on.
+# np.linalg holds the GIL on one small matrix but not on a stack of enough of
+# them (``permsep._lapack``), so stacks let the worker threads overlap; a
+# budget this small adds little to an evaluation's peak memory.
+_STACK_BYTES = 1 << 20
 
 
 def _row_blocks(dim: int):
@@ -256,7 +262,7 @@ def trace_norm(operator: DensityMatrix | np.ndarray) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {m.shape}")
     with _blas_threads_for(len(m)):
-        return float(_singular_values(m).sum())
+        return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def _check_pair(r: int, k: int, l: int) -> None:
@@ -360,6 +366,8 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
     _check_integer("terms", terms)
     if terms < 1:
         raise ValueError(f"need at least one product term, got {_shown(terms)}")
+    if terms > sys.maxsize:  # no weight array is that long
+        raise ValueError(f"terms {_shown(terms)} exceeds sys.maxsize")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights = rng.random(terms)
@@ -663,9 +671,10 @@ def _real_layout(key: CanonicalKey, d: int) -> np.ndarray | None:
     return _involution_basis(key.r, d, _arrows_of_sets(key.heads, key.tails))
 
 
-def _real_form(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Re a - (Im a) P, P the permutation matrix of s, written over the
-    C-contiguous a's own buffer, which no one reads afterwards.
+def _real_form(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Re a - (Im a) P, P the permutation matrix of s, written into the
+    float64 out, or else over the C-contiguous a's own buffer, which no one
+    reads afterwards.
 
     As P a P = conj(a), which a[s][:, s] == conj(a) states, and P^2 = I,
     U = (I + iP) / sqrt(2) is unitary and U^dagger a U is that real matrix,
@@ -673,24 +682,68 @@ def _real_form(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     within a's complex row i // 2, so blocks of rows, each read whole before
     it is written, in increasing order, overwrite no row before it is read.
     """
-    out = a.view(np.float64).reshape(-1)[: a.size].reshape(a.shape)
+    if out is None:
+        out = a.view(np.float64).reshape(-1)[: a.size].reshape(a.shape)
     for rows in _row_blocks(len(a)):
         out[rows] = a[rows].real - a[rows].imag[:, s]
     return out
 
 
-def _orbit_norm(herm: DensityMatrix, key: CanonicalKey, rep: Permutation) -> tuple[float, str]:
-    """The norm of the class of rep on the Hermitian herm, and the
-    decomposition it took: "eigvalsh", "real svd" or "svd"."""
-    permuted = apply_permutation(herm, rep)
-    if key.arrow_count == 0:
-        return float(np.abs(_eigenvalues(permuted.entries)).sum()), "eigvalsh"
-    a, s = permuted.entries, _real_layout(key, herm.d)
-    if s is not None and not np.may_share_memory(a, herm.entries):
-        # a is this call's own array, so its buffer takes the real form
-        a.setflags(write=True)
-        return trace_norm(_real_form(a, s)), "real svd"
-    return trace_norm(permuted), "svd"
+def _chunks(herm: DensityMatrix, firsts: list[int]) -> list[tuple[str, list[int]]]:
+    """(route, plan indices) of the orbits among firsts that one np.linalg
+    call decomposes together on the Hermitian herm: "eigvalsh" for loop-only
+    classes, "real svd" for self-paired arrow classes (``_real_layout``) and
+    "svd" for the others, each route's orbits cut into chunks of at most
+    _STACK_BYTES of complex matrices, and at least one matrix."""
+    plan, size = _plan(herm.r), max(1, _STACK_BYTES // (16 * herm.dim**2))
+    routes: dict[str, list[int]] = {"eigvalsh": [], "real svd": [], "svd": []}
+    for i in firsts:
+        key = plan[i][0]
+        if key.arrow_count == 0:
+            routes["eigvalsh"].append(i)
+        else:
+            routes["svd" if _real_layout(key, herm.d) is None else "real svd"].append(i)
+    return [
+        (route, orbits[k : k + size])
+        for route, orbits in routes.items()
+        for k in range(0, len(orbits), size)
+    ]
+
+
+def _decompose_chunk(herm: DensityMatrix, done: list, chunk: tuple[str, list[int]]) -> None:
+    """Write (norm, route) of each orbit of the chunk (``_chunks``) into done
+    at its plan index, from one np.linalg call on the stack of the orbits'
+    matrices: herm permuted by each class's representative, or for "real
+    svd" that matrix's real form (``_real_form``).
+
+    A chunk of one orbit decomposes the permuted array itself, so that no
+    large matrix is copied; its real form is written over its own rows.
+    """
+    route, orbits = chunk
+    plan, dim = _plan(herm.r), herm.dim
+    if len(orbits) > 1:
+        dtype = np.float64 if route == "real svd" else np.complex128
+        stack = np.empty((len(orbits), dim, dim), dtype)
+    for j, i in enumerate(orbits):
+        key, rep, _ = plan[i]
+        a = apply_permutation(herm, rep).entries
+        if len(orbits) == 1:
+            if route == "real svd":
+                if np.may_share_memory(a, herm.entries):  # d = 1: a view of herm's array
+                    a = a.copy()
+                a.setflags(write=True)  # else this call's own array
+                a = _real_form(a, _real_layout(key, herm.d))
+            stack = a[None]
+        elif route == "real svd":
+            _real_form(a, _real_layout(key, herm.d), stack[j])
+        else:
+            stack[j] = a
+    if route == "eigvalsh":
+        values = np.abs(np.linalg.eigvalsh(stack))
+    else:
+        values = np.linalg.svd(stack, compute_uv=False)
+    for i, row in zip(orbits, values):
+        done[i] = float(row.sum()), route
 
 
 def evaluate_criteria(
@@ -708,9 +761,15 @@ def evaluate_criteria(
     Hermitian state's transpose is its entrywise conjugate, so the class of
     sigma and the class of (global transpose) * sigma have equal norms; one
     decomposition serves both.  Loop-only classes are partial transposes,
-    Hermitian, and take the sum of absolute eigenvalues; the others take
-    ``trace_norm``.  The classes, representatives and pairs of each r are
-    computed once per process.  A negative or NaN tolerance raises
+    Hermitian, and take the sum of absolute eigenvalues; the others the sum
+    of singular values.  Each kind of decomposition is made on stacks of
+    orbits, one np.linalg call per stack of at most 1 MiB of complex
+    matrices (``_chunks``); a stack of one is the permuted array itself, so
+    a large state's matrix is not copied.  np.linalg treats each matrix of a
+    stack as it treats the matrix alone, so every norm is the one a
+    separate call would give, bit for bit, and a matrix it cannot decompose
+    raises its LinAlgError.  The classes, representatives and pairs of each
+    r are computed once per process.  A negative or NaN tolerance raises
     ValueError.
 
     Two routes, read off the class's key, replace that dense one where the
@@ -749,16 +808,15 @@ def evaluate_criteria(
     it on one thread, and one that sets the count meanwhile may race with
     the restore.
 
-    From dim 32 to 128, the orbits of a state off the pure route are then
-    shared among min(2, usable CPUs, orbits // 2) threads, the caller one of
-    them, which call LAPACK without holding the GIL; ``permsep._lapack``
-    holds that policy and its measurements.  Each norm is numpy's bit for
-    bit and is stored by its class's index, so the report does not depend
+    From dim 32 to 128, the stacks of a state off the pure route are then
+    shared among up to 2 threads, the caller one of them, and no more than
+    the usable CPUs or the stacks that np.linalg decomposes without holding
+    the GIL; ``permsep._lapack`` holds that policy and its measurements.
+    Each norm is stored by its class's index, so the report does not depend
     on which thread finishes first, and an error in any thread is raised
-    here once all have stopped.  ``apply_permutation`` and ``trace_norm``
-    are looked up as module globals on each call, so a function put in
-    their place is called from several threads at once and must be
-    thread-safe.
+    here once all have stopped.  ``apply_permutation`` is looked up as a
+    module global for each orbit, so a function put in its place is called
+    from several threads at once and must be thread-safe.
     """
     _valid_tolerance(tolerance)
     r, m = rho.r, rho.entries
@@ -777,21 +835,21 @@ def evaluate_criteria(
             orbit, sums = _factored_norms(psi, r, rho.d)
             route, swaps = f"bound {bound:.1e} < {limit:.0e}", "swaps unchecked"
         else:
-            orbit = functools.partial(_orbit_norm, herm)
             route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
             swapped, swaps = _swap_pairing(herm, limit)
             if swapped is not None:
                 partners = swapped
         firsts = [i for i, partner in enumerate(partners) if partner is None]
-        if one_thread and sums is None:
-            workers = _worker_count(rho.dim, len(firsts))
         # (norm, route) by plan index, whichever worker finishes first
         done: list[tuple[float, str] | None] = [None] * len(plan)
-
-        def decompose(i: int) -> None:
-            done[i] = orbit(*plan[i][:2])
-
-        _share(firsts, decompose, workers)
+        if sums is not None:  # the Schmidt sums are one plain dict: one thread
+            for i in firsts:
+                done[i] = orbit(*plan[i][:2])
+        else:
+            chunks = _chunks(herm, firsts)
+            if one_thread:
+                workers = _worker_count(rho.dim, [len(orbits) for _, orbits in chunks])
+            _share(chunks, functools.partial(_decompose_chunk, herm, done), workers)
     norms = [done[i if partner is None else partner][0] for i, partner in enumerate(partners)]
     routes = [done[i][1] for i in firsts]
     if sums is not None:

@@ -285,6 +285,28 @@ class TestConfigurationValidity:
         with pytest.raises(ValueError, match="share head 2"):
             config(3, (2, 2), (1, 2))
 
+    @pytest.mark.parametrize(
+        "r, error, message",
+        [
+            (0, ValueError, "r must be positive, got 0"),
+            (-2, ValueError, "r must be positive, got -2"),
+            (-(10**5000), ValueError, "r must be positive, got -<16610-bit integer>"),
+            (2.0, TypeError, "r must be an integer, got 2.0"),
+            (True, TypeError, "r must be an integer, got True"),
+        ],
+        ids=["zero", "negative", "huge-negative", "float", "bool"],
+    )
+    def test_r_checked_as_the_key_checks_it(self, r, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            ArrowConfiguration(r, frozenset())
+        with pytest.raises(error, match=f"^{message}$"):
+            CanonicalKey(r, (), ())
+
+    def test_huge_r_shown_in_a_range_error(self):
+        assert ArrowConfiguration(10**5000, frozenset()).r == 10**5000
+        with pytest.raises(ValueError, match=r"^arrow 0->1 leaves subsystems 1\.\.<16610-bit integer>$"):
+            ArrowConfiguration(10**5000, frozenset({Arrow(0, 1)}))
+
     def test_chain_valid_but_not_disjoint(self):
         c = config(3, (1, 2), (2, 3))
         assert not c.is_disjoint()

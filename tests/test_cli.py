@@ -297,13 +297,13 @@ class TestEval:
             return DensityMatrix(rho.r, rho.d, out)
 
         path = tmp_path / "random.state"
-        write_state_file(path, random_state(5, 2, seed=1))  # dim 32: two workers
+        write_state_file(path, random_state(6, 2, seed=1))  # dim 64: two workers
         monkeypatch.setattr(states, "apply_permutation", poisoned)
         monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1})
         workers, share = [], states._share
         monkeypatch.setattr(states, "_share", lambda jobs, task, n: workers.append(n) or share(jobs, task, n))
         result = invoke(runner, "eval", str(path))
-        assert workers == ([2] if _lapack._lapack("zgesdd") else [1])
+        assert workers == ([2] if _lapack._openblas_threads() else [1])
         assert result.exit_code == 3
         assert result.output in ("error: SVD did not converge\n", "error: Eigenvalues did not converge\n")
 
