@@ -32,6 +32,7 @@ rewrite rules produce the normal form and the trace that explain the key.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -72,6 +73,16 @@ class Arrow(NamedTuple):
         return f"{self.tail}->{self.head}"
 
 
+def _check_r(r) -> None:
+    """The constructors' rule for r: an integer whose degree 2r passes
+    ``perms._check_degree``, so that r can always be printed."""
+    _check_integer("r", r)
+    if r < 1:
+        raise ValueError(f"r must be positive, got {_shown(r)}")
+    if 2 * r > sys.maxsize:
+        raise ValueError(f"r must be at most sys.maxsize // 2, got {_shown(r)}")
+
+
 @dataclass(frozen=True)
 class ArrowConfiguration:
     """A valid set of arrows/loops on subsystems {1, ..., r}.
@@ -87,9 +98,7 @@ class ArrowConfiguration:
     arrows: frozenset[Arrow]
 
     def __post_init__(self) -> None:
-        _check_integer("r", self.r)
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {_shown(self.r)}")
+        _check_r(self.r)
         # a loop occupies its subsystem as both head and tail, so the two
         # uniqueness checks also ban arrows touching a loop's subsystem
         heads: set[int] = set()
@@ -164,9 +173,7 @@ class CanonicalKey:
     tails: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_integer("r", self.r)
-        if self.r < 1:
-            raise ValueError(f"r must be positive, got {_shown(self.r)}")
+        _check_r(self.r)
         for name, seq in (("heads", self.heads), ("tails", self.tails)):
             if not isinstance(seq, tuple):
                 raise TypeError(f"{name} must be a tuple, got {_shown(seq)}")

@@ -17,15 +17,25 @@ from .normgroup import (
     representative_permutation,
     _census_rows,
 )
-from .states import (
-    evaluate_criteria,
-    read_state_file,
-    VERDICT_TOLERANCE,
-    _valid_tolerance,
-)
-from .selftest import CHECK_NAMES, DEFAULT_SEED, run_checks
+from ._defaults import CHECK_NAMES, DEFAULT_SEED, VERDICT_TOLERANCE
 
 EXIT_DATA_ERROR = 3
+
+# The numeric layers, and numpy with them, load when ``eval`` or
+# ``selftest`` first needs them: these names resolve through __getattr__,
+# and the commands read them off this module at each call, so that a
+# wrapper or patch placed here or in their own module is seen.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name in ("read_state_file", "evaluate_criteria", "_valid_tolerance"):
+        from . import states as module
+    elif name == "run_checks":
+        from . import selftest as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 def _fail_data(message: str) -> None:
@@ -48,7 +58,7 @@ def _check_r(r: int) -> int:
 
 def _check_tolerance(ctx, param, value: float) -> float:
     try:
-        return _valid_tolerance(value)
+        return _cli._valid_tolerance(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
@@ -213,8 +223,8 @@ def enumerate_cosets(subsystems: int, fmt: str) -> None:
 def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
     """Evaluate every criterion class on the state stored in STATE_FILE."""
     try:
-        rho = read_state_file(state_file)
-        report = evaluate_criteria(rho, tolerance=tolerance)
+        rho = _cli.read_state_file(state_file)
+        report = _cli.evaluate_criteria(rho, tolerance=tolerance)
     except ValueError as exc:  # StateFileError and StateValidationError too
         _fail_data(str(exc))
     ranked = sorted(report.records, key=lambda rec: (-rec.norm, rec.key.rank))
@@ -244,7 +254,7 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
 )
 def selftest(seed: int, only: tuple[str, ...]) -> None:
     """Run the built-in verification suite and report pass/fail per item."""
-    results = run_checks(list(only) or None, seed=seed)
+    results = _cli.run_checks(list(only) or None, seed=seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

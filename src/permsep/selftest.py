@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._defaults import CHECK_NAMES, DEFAULT_SEED
 from .perms import Permutation, compose, inverse, parse_permutation, _parity_kind
 from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key
 from .normgroup import (
@@ -42,8 +43,6 @@ from .states import (
     swap_operator,
     trace_norm,
 )
-
-DEFAULT_SEED = 20240801
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks", "DEFAULT_SEED"]
 
@@ -316,21 +315,23 @@ def _check_structural(seed: int) -> tuple[bool, str]:
     )
 
 
-_CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
-    ("coset-counts-exhaustive", _check_coset_counts),
-    ("norm-group-order", _check_group_order),
-    ("coset-soundness-pairwise", _check_coset_soundness),
-    ("worked-example", _check_worked_example),
-    ("class-census", _check_census),
-    ("norm-preservation", _check_norm_preservation),
-    ("separability-bound", _check_separability_bound),
-    ("detector-states", _check_detectors),
-    ("structured-routes", _check_structured_routes),
-    ("bipartite-anchors", _check_bipartite_anchors),
-    ("structural-properties", _check_structural),
-]
-
-CHECK_NAMES = [name for name, _ in _CHECKS]
+_CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = list(zip(
+    CHECK_NAMES,
+    (
+        _check_coset_counts,
+        _check_group_order,
+        _check_coset_soundness,
+        _check_worked_example,
+        _check_census,
+        _check_norm_preservation,
+        _check_separability_bound,
+        _check_detectors,
+        _check_structured_routes,
+        _check_bipartite_anchors,
+        _check_structural,
+    ),
+    strict=True,
+))
 
 
 def run_checks(

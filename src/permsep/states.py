@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._defaults import VERDICT_TOLERANCE
 from .perms import Permutation, _check_integer, _shown
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
@@ -59,7 +60,6 @@ _log = logging.getLogger("permsep")
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-VERDICT_TOLERANCE = 1e-9
 
 # bytes of the block of rows that each blockwise O(dim^2) pass reads at a time
 _BLOCK_BYTES = 1 << 16

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -291,10 +292,12 @@ class TestConfigurationValidity:
             (0, ValueError, "r must be positive, got 0"),
             (-2, ValueError, "r must be positive, got -2"),
             (-(10**5000), ValueError, "r must be positive, got -<16610-bit integer>"),
+            (10**5000, ValueError, r"r must be at most sys\.maxsize // 2, got <16610-bit integer>"),
+            (sys.maxsize // 2 + 1, ValueError, rf"r must be at most sys\.maxsize // 2, got {sys.maxsize // 2 + 1}"),
             (2.0, TypeError, "r must be an integer, got 2.0"),
             (True, TypeError, "r must be an integer, got True"),
         ],
-        ids=["zero", "negative", "huge-negative", "float", "bool"],
+        ids=["zero", "negative", "huge-negative", "huge", "degree-beyond-maxsize", "float", "bool"],
     )
     def test_r_checked_as_the_key_checks_it(self, r, error, message):
         with pytest.raises(error, match=f"^{message}$"):
@@ -302,10 +305,13 @@ class TestConfigurationValidity:
         with pytest.raises(error, match=f"^{message}$"):
             CanonicalKey(r, (), ())
 
-    def test_huge_r_shown_in_a_range_error(self):
-        assert ArrowConfiguration(10**5000, frozenset()).r == 10**5000
-        with pytest.raises(ValueError, match=r"^arrow 0->1 leaves subsystems 1\.\.<16610-bit integer>$"):
-            ArrowConfiguration(10**5000, frozenset({Arrow(0, 1)}))
+    def test_largest_r_prints(self):
+        # the largest r whose degree 2r passes perms._check_degree
+        r = sys.maxsize // 2
+        assert repr(ArrowConfiguration(r, frozenset())) == f"ArrowConfiguration(r={r}, arrows=frozenset())"
+        assert str(CanonicalKey(r, (), ())) == f"CanonicalKey(r={r}, heads=(), tails=())"
+        with pytest.raises(ValueError, match=rf"^arrow 0->1 leaves subsystems 1\.\.{r}$"):
+            ArrowConfiguration(r, frozenset({Arrow(0, 1)}))
 
     def test_chain_valid_but_not_disjoint(self):
         c = config(3, (1, 2), (2, 3))

@@ -392,6 +392,36 @@ class TestEval:
         )
 
 
+class TestHelp:
+    """The defaults that ``--help`` shows, which the CLI reads from
+    ``permsep._defaults`` without loading the numeric layers."""
+
+    def _help(self, runner, command):
+        result = invoke(runner, command, "--help")
+        assert result.exit_code == 0
+        return " ".join(result.output.split())  # unwrapped
+
+    def test_eval_tolerance_default(self, runner):
+        assert "--tolerance FLOAT Entanglement verdict threshold above norm 1. [default: 1e-09]" in (
+            self._help(runner, "eval")
+        )
+
+    def test_selftest_seed_default_and_check_names(self, runner):
+        text = self._help(runner, "selftest")
+        assert "--seed INTEGER RANGE [default: 20240801; x>=0]" in text
+        assert (
+            "--only [coset-counts-exhaustive|norm-group-order|coset-soundness-pairwise|"
+            "worked-example|class-census|norm-preservation|separability-bound|"
+            "detector-states|structured-routes|bipartite-anchors|structural-properties]"
+        ) in text
+
+    def test_defaults_are_the_layers_own(self):
+        assert states.VERDICT_TOLERANCE == 1e-9 and "VERDICT_TOLERANCE" in states.__all__
+        assert selftest.DEFAULT_SEED == 20240801
+        assert [name for name, _ in selftest._CHECKS] == CHECK_NAMES
+        assert {"CHECK_NAMES", "DEFAULT_SEED"} <= set(selftest.__all__)
+
+
 class TestSelftest:
     def test_subset_runs(self, runner):
         result = invoke(

@@ -1182,6 +1182,82 @@ class TestSwapPairing:
         assert ", swaps unchecked, " in message, message
 
 
+# local-unitary invariance: r <= 4 and dim <= 81, so that each example
+# evaluates two states in milliseconds
+LU_SIZES = [(r, d) for r in range(2, 5) for d in range(2, 10) if d**r <= 81]
+LU_KINDS = ("random", "pure", "ghz", "noisy-ghz", "bell", "detector")
+
+
+def _lu_state(kind: str, r: int, d: int, seed: int) -> DensityMatrix:
+    """A state of the given kind: random and detector states are mixed and
+    take the dense route, random pure and GHZ states (and a Bell pair at
+    r = 2) the pure one, and the noisy GHZ and Bell-pair states the swap
+    pairing."""
+    if kind == "random":
+        return random_state(r, d, seed=seed)
+    if kind == "pure":
+        return _pure(r, d, seed)
+    if kind == "ghz":
+        return ghz_state(r, d)
+    if kind == "noisy-ghz":
+        return _noisy_ghz(r, d)
+    if kind == "bell":
+        k, l = list(itertools.combinations(range(1, r + 1), 2))[seed % math.comb(r, 2)]
+        return bell_pair_state(r, d, k, l)
+    keys = enumerate_classes(r)[1:]
+    return detector_state(keys[seed % len(keys)], d)
+
+
+def _locally_rotated(rho: DensityMatrix, seed: int, same: bool) -> DensityMatrix:
+    """(U_1 x ... x U_r) rho (U_1 x ... x U_r)^dagger for random unitaries U_k,
+    or one U on every subsystem when ``same``, which keeps a state's swap
+    symmetries."""
+    rng = np.random.default_rng(seed)
+    us = []
+    for _ in range(1 if same else rho.r):
+        q, t = np.linalg.qr(rng.standard_normal((rho.d,) * 2) + 1j * rng.standard_normal((rho.d,) * 2))
+        us.append(q * (np.diag(t) / np.abs(np.diag(t))))
+    big = functools.reduce(np.kron, us * rho.r if same else us)
+    return DensityMatrix(rho.r, rho.d, big @ rho.entries @ big.conj().T)
+
+
+class TestLocalUnitaryInvariance:
+    """A local unitary keeps every class norm (the criteria see entanglement
+    only), whichever route each side's evaluation takes."""
+
+    @property_settings
+    @given(
+        kind=st.sampled_from(LU_KINDS),
+        size=st.sampled_from(LU_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        same=st.booleans(),
+    )
+    def test_class_norms_are_local_unitary_invariant(self, kind, size, seed, same):
+        rho = _lu_state(kind, *size, seed)
+        rotated = _locally_rotated(rho, seed, same)
+        before, after = evaluate_criteria(rho), evaluate_criteria(rotated)
+        assert [rec.key for rec in before.records] == [rec.key for rec in after.records]
+        for a, b in zip(before.records, after.records):
+            assert _close(b.norm, a.norm), (a.key.render(), a.norm, b.norm)
+
+    @pytest.mark.parametrize("kind, r, d, same, route", [
+        ("ghz", 3, 4, False, " pure (bound "),
+        ("bell", 2, 9, False, " pure (bound "),
+        ("pure", 4, 3, False, " pure (bound "),
+        ("random", 4, 3, False, " 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), no swap "),
+        ("noisy-ghz", 4, 3, True, " certified: "),
+        ("bell", 4, 2, True, " certified: "),
+        ("detector", 4, 3, True, " certified: "),
+    ], ids=["pure-ghz", "pure-bell", "pure-random", "dense-real", "swap-ghz", "swap-bell", "swap-detector"])
+    def test_examples_cross_every_route(self, kind, r, d, same, route):
+        # the examples above reach the pure, dense, real and swap routes,
+        # on both sides
+        rho = _lu_state(kind, r, d, seed=5)
+        for state in (rho, _locally_rotated(rho, 5, same)):
+            message = _evaluation_message(state)
+            assert route in message, message
+
+
 class TestStateFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "state.txt"
