@@ -205,7 +205,8 @@ class CanonicalKey:
 
     @property
     def type_label(self) -> str:
-        return type_label(self.arrow_count, self.loop_count)
+        loops = self.loop_count
+        return type_label(len(self.heads) - loops, loops)
 
     @property
     def partner_label(self) -> str:
@@ -480,13 +481,16 @@ def _reduce_sets(
 
 
 def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> CanonicalKey:
-    """The key of the class with these (heads, tails) sets.
+    """The key of the class with these (heads, tails) sets."""
+    return _adopted_key(r, *_reduce_sets(r, heads, tails))
 
-    Skips the constructor's checks: ``_reduce_sets`` returns sorted,
-    flip-reduced sets by construction, so re-checking them would only
-    repeat the reduction.
+
+def _adopted_key(r: int, heads: tuple[int, ...], tails: tuple[int, ...]) -> CanonicalKey:
+    """The key with these sorted, flip-reduced set tuples, which the caller
+    has just produced (``_reduce_sets`` does by construction).
+
+    Skips the constructor's checks, which would only repeat the reduction.
     """
-    heads, tails = _reduce_sets(r, heads, tails)
     key = object.__new__(CanonicalKey)
     key.__dict__.update(r=r, heads=heads, tails=tails)
     return key

@@ -15,7 +15,7 @@ from .normgroup import (
     class_count,
     enumerate_classes,
     representative_permutation,
-    _census_rows,
+    _census,
 )
 from ._defaults import CHECK_NAMES, DEFAULT_SEED, VERDICT_TOLERANCE
 
@@ -38,8 +38,20 @@ def __getattr__(name: str):
     return getattr(module, name)
 
 
+def _echo(message: str, nl: bool = True, err: bool = False) -> None:
+    """``click.echo`` to the current sys.stdout, or sys.stderr when err.
+
+    Named explicitly, because without a file click caches each new standard
+    stream in a WeakKeyDictionary whose value is the stream itself, so the
+    entry never dies: a caller that runs commands in-process with stdout
+    redirected to a fresh buffer each time (click's CliRunner, perfbench)
+    kept every buffer and all its text, about 0.8 MB for each ``list -r 8``.
+    """
+    click.echo(message, nl=nl, file=sys.stderr if err else sys.stdout)
+
+
 def _fail_data(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(EXIT_DATA_ERROR)
 
 
@@ -84,26 +96,26 @@ def canon(subsystems: int, show_trace: bool, show_sketch: bool, perm: str) -> No
     sigma = _parse_or_fail(perm, r)
     trace = canonicalize(sigma)
     if show_trace:
-        click.echo(f"cycles: {_render_cycles(trace.input_cycles)}")
+        _echo(f"cycles: {_render_cycles(trace.input_cycles)}")
         for step in trace.steps:
             mult = _render_cycles(step.multiplier) if step.multiplier else "-"
-            click.echo(
+            _echo(
                 f"{step.rule}: {step.detail}; multiplier {mult} -> {step.state}"
             )
     key = trace.key
-    click.echo(f"normal form: {trace.configuration.render()}")
+    _echo(f"normal form: {trace.configuration.render()}")
     if show_sketch:
         cells = {(a.tail, a.head) for a in trace.configuration.arrows}
-        click.echo("sketch (rows: tails, columns: heads):")
-        click.echo("    " + " ".join(str(h) for h in range(1, r + 1)))
+        _echo("sketch (rows: tails, columns: heads):")
+        _echo("    " + " ".join(str(h) for h in range(1, r + 1)))
         for t in range(1, r + 1):
             row = " ".join(
                 ("@" if t == h else ">") if (t, h) in cells else "."
                 for h in range(1, r + 1)
             )
-            click.echo(f"  {t} {row}")
-    click.echo(f"canonical key: {key.render()}")
-    click.echo(f"label: {key.type_label}")
+            _echo(f"  {t} {row}")
+    _echo(f"canonical key: {key.render()}")
+    _echo(f"label: {key.type_label}")
 
 
 @main.command()
@@ -118,15 +130,15 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
     try:
         key1, key2, witness, same = _equivalence(sigma, tau)
     except RuntimeError:
-        click.echo(
+        _echo(
             "internal error: canonical keys and the parity test disagree", err=True
         )
         sys.exit(1)
-    click.echo("EQUIVALENT" if same else "INDEPENDENT")
-    click.echo(f"canonical key 1: {key1.render()}")
-    click.echo(f"canonical key 2: {key2.render()}")
+    _echo("EQUIVALENT" if same else "INDEPENDENT")
+    _echo(f"canonical key 1: {key1.render()}")
+    _echo(f"canonical key 2: {key2.render()}")
     parity = "norm-preserving" if same else "not norm-preserving"
-    click.echo(f"parity test on perm2^-1 * perm1 = {witness}: {parity}")
+    _echo(f"parity test on perm2^-1 * perm1 = {witness}: {parity}")
 
 
 @main.command(name="list")
@@ -141,30 +153,35 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
 def list_classes(subsystems: int, fmt: str) -> None:
     """List the nontrivial criterion classes and the census by type."""
     r = _check_r(subsystems)
-    keys = enumerate_classes(r)
-    rows = _census_rows(r, keys)
+    rows = _census(r)
     if fmt == "csv":
-        for row in rows:
-            click.echo(
+        _echo(
+            "".join(
                 f"{row.r},{row.arrow_count},{row.loop_count},"
-                f"{row.type_label},{row.count}"
-            )
+                f"{row.type_label},{row.count}\n"
+                for row in rows
+            ),
+            nl=False,
+        )
         return
     total = class_count(r)
-    click.echo(f"r={r}: {total} classes, {total - 1} nontrivial criteria")
-    click.echo("")
-    click.echo(f"{'a':>3} {'l':>3}  {'label':<8} {'key':<28} representative")
-    for key in keys:
+    lines = [
+        f"r={r}: {total} classes, {total - 1} nontrivial criteria",
+        "",
+        f"{'a':>3} {'l':>3}  {'label':<8} {'key':<28} representative",
+    ]
+    for key in enumerate_classes(r):
         if key.is_trivial:
             continue
         rep = representative_permutation(key)
-        a, l = key.arrow_count, key.loop_count
-        click.echo(f"{a:>3} {l:>3}  {type_label(a, l):<8} {key.render():<28} {rep}")
-    click.echo("")
-    click.echo("census by type:")
-    click.echo(f"{'label':<8} {'flip-partner':<13} classes")
+        l = key.loop_count
+        a = len(key.heads) - l
+        lines.append(f"{a:>3} {l:>3}  {type_label(a, l):<8} {key.render():<28} {rep}")
+    lines += ["", "census by type:", f"{'label':<8} {'flip-partner':<13} classes"]
     for row in rows:
-        click.echo(f"{row.type_label:<8} {row.partner_label:<13} {row.count}")
+        lines.append(f"{row.type_label:<8} {row.partner_label:<13} {row.count}")
+    # one write: click.echo flushes at every call
+    _echo("\n".join(lines))
 
 
 @main.command(name="enumerate-cosets")
@@ -185,23 +202,26 @@ def enumerate_cosets(subsystems: int, fmt: str) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["r", "heads", "tails", "a", "l", "label", "representative"])
         for key in keys:
+            l = key.loop_count
+            a = len(key.heads) - l
             writer.writerow(
                 [
                     r,
                     " ".join(map(str, key.heads)),
                     " ".join(map(str, key.tails)),
-                    key.arrow_count,
-                    key.loop_count,
-                    key.type_label,
+                    a,
+                    l,
+                    type_label(a, l),
                     str(representative_permutation(key)),
                 ]
             )
-        click.echo(out.getvalue(), nl=False)
+        _echo(out.getvalue(), nl=False)
         return
-    click.echo(f"r={r}: {len(keys)} classes (1 trivial)")
+    lines = [f"r={r}: {len(keys)} classes (1 trivial)"]
     for key in keys:
         rep = representative_permutation(key)
-        click.echo(f"{key.render():<28} {key.type_label:<8} {rep}")
+        lines.append(f"{key.render():<28} {key.type_label:<8} {rep}")
+    _echo("\n".join(lines))
 
 
 @main.command(name="eval")
@@ -229,18 +249,21 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
         _fail_data(str(exc))
     ranked = sorted(report.records, key=lambda rec: (-rec.norm, rec.key.rank))
     if fmt == "csv":
-        for rec in ranked:
-            heads = " ".join(map(str, rec.key.heads))
-            tails = " ".join(map(str, rec.key.tails))
-            click.echo(f"{report.r},{rec.key.type_label},{heads},{tails},{rec.norm:.12f}")
-        click.echo(f"verdict,{report.verdict.upper()},max,{report.max_norm:.12f}")
-        return
-    click.echo(f"state: r={report.r} d={report.d} ({rho.dim}x{rho.dim})")
-    click.echo(f"{'label':<8} {'key':<28} norm")
-    for rec in ranked:
-        click.echo(f"{rec.key.type_label:<8} {rec.key.render():<28} {rec.norm:.12f}")
-    click.echo(f"max norm: {report.max_norm:.12f} (tolerance {report.tolerance:g})")
-    click.echo(f"verdict: {report.verdict.upper()}")
+        lines = [
+            f"{report.r},{rec.key.type_label},{' '.join(map(str, rec.key.heads))},"
+            f"{' '.join(map(str, rec.key.tails))},{rec.norm:.12f}"
+            for rec in ranked
+        ]
+        lines.append(f"verdict,{report.verdict.upper()},max,{report.max_norm:.12f}")
+    else:
+        lines = [
+            f"state: r={report.r} d={report.d} ({rho.dim}x{rho.dim})",
+            f"{'label':<8} {'key':<28} norm",
+            *(f"{rec.key.type_label:<8} {rec.key.render():<28} {rec.norm:.12f}" for rec in ranked),
+            f"max norm: {report.max_norm:.12f} (tolerance {report.tolerance:g})",
+            f"verdict: {report.verdict.upper()}",
+        ]
+    _echo("\n".join(lines))
 
 
 @main.command()
@@ -255,15 +278,16 @@ def eval_state(tolerance: float, fmt: str, state_file: str) -> None:
 def selftest(seed: int, only: tuple[str, ...]) -> None:
     """Run the built-in verification suite and report pass/fail per item."""
     results = _cli.run_checks(list(only) or None, seed=seed)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        click.echo(f"[{status}] {res.name} ({res.seconds:.2f}s): {res.detail}")
-        failed += 0 if res.passed else 1
-    click.echo(
+    lines = [
+        f"[{'PASS' if res.passed else 'FAIL'}] {res.name} ({res.seconds:.2f}s): {res.detail}"
+        for res in results
+    ]
+    failed = sum(not res.passed for res in results)
+    lines.append(
         f"{len(results) - failed}/{len(results)} checks passed"
         + (f", {failed} FAILED" if failed else "")
     )
+    _echo("\n".join(lines))
     if failed:
         sys.exit(1)
 

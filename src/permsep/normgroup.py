@@ -10,14 +10,16 @@ which there are C(2r, r) / 2, one of them trivial.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .perms import Permutation, global_transpose, identity, permutation_from_cycles
-from .perms import _check_integer, _parity_kind, _shown
+from .perms import _built, _check_integer, _parity_kind, _shown
 from .arrows import CanonicalKey, canonical_key, type_label
-from .arrows import _arrows_of_sets, _permutation_of_arrows, _reduce_sets, _reduced_key
+from .arrows import _adopted_key, _arrows_of_sets, _permutation_of_arrows, _reduce_sets
 
 __all__ = [
     "is_norm_preserving",
@@ -113,6 +115,25 @@ def class_count(r: int) -> int:
     return math.comb(2 * r, r) // 2
 
 
+def _check_class_r(r: int) -> None:
+    _check_integer("r", r)
+    if not 1 <= r <= MAX_CLASS_R:
+        raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
+
+
+def _class_sets(r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The flip-reduced (heads, tails) pairs of ``enumerate_classes(r)``, one
+    at a time, in its order."""
+    subsystems = range(1, r + 1)
+    return (
+        (heads, tails)
+        for k in range(r // 2 + 1)
+        for tails in itertools.combinations(subsystems, k)
+        for heads in itertools.combinations(subsystems, k)
+        if 2 * k < r or _reduce_sets(r, heads, tails) == (heads, tails)
+    )
+
+
 def enumerate_classes(r: int) -> list[CanonicalKey]:
     """One key per flip-reduced (heads, tails) pair, trivial included, in
     rank order (#arrows + #loops, tails, heads).
@@ -122,17 +143,8 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     from ``itertools.combinations`` come in lexicographic order, so k,
     then tails, then heads is rank order, and no set or sort is needed.
     """
-    _check_integer("r", r)
-    if not 1 <= r <= MAX_CLASS_R:
-        raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
-    subsystems = range(1, r + 1)
-    out = [
-        _reduced_key(r, heads, tails)
-        for k in range(r // 2 + 1)
-        for tails in itertools.combinations(subsystems, k)
-        for heads in itertools.combinations(subsystems, k)
-        if 2 * k < r or _reduce_sets(r, heads, tails) == (heads, tails)
-    ]
+    _check_class_r(r)
+    out = [_adopted_key(r, heads, tails) for heads, tails in _class_sets(r)]
     if len(out) != class_count(r):
         raise RuntimeError(
             f"enumerated {len(out)} classes for r={r}, expected {class_count(r)}"
@@ -140,13 +152,44 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     return out
 
 
+def _representative(r: int, heads: tuple[int, ...], tails: tuple[int, ...]) -> Permutation:
+    """The representative of the class with these reduced sets, built and
+    checked to round-trip through ``canonical_key``."""
+    perm = _permutation_of_arrows(r, _arrows_of_sets(heads, tails))
+    key = canonical_key(perm)
+    if (key.heads, key.tails) != (heads, tails):
+        shown = _adopted_key(r, heads, tails).render()
+        raise RuntimeError(f"representative of {shown} fails to round-trip")
+    return perm
+
+
+@functools.cache
+def _representatives(r: int) -> dict[bytes, bytes]:
+    """The images of every class representative at r <= MAX_CLASS_R, under
+    the key's bytes(heads + tails) (|H| = |T|, so the split is known), each
+    checked to round-trip once per process.
+
+    Bytes, not keys and permutations: at r = 8 the 6435 entries hold
+    0.86 MB, where the objects held 4.25 MB (tracemalloc); and the sets
+    come from a generator, so that no key list lives while the table is
+    built.
+    """
+    return {
+        bytes(heads + tails): bytes(_representative(r, heads, tails).images)
+        for heads, tails in _class_sets(r)
+    }
+
+
 def representative_permutation(key: CanonicalKey) -> Permutation:
     """Simplest permutation in the class: the transpositions of the key's
-    loops and arrows, as ``arrows._arrows_of_sets`` pairs them."""
-    perm = _permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails))
-    if canonical_key(perm) != key:
-        raise RuntimeError(f"representative of {key.render()} fails to round-trip")
-    return perm
+    loops and arrows, as ``arrows._arrows_of_sets`` pairs them.
+
+    Up to r = MAX_CLASS_R it is read from the table of its r, built on
+    first use; larger keys are built and checked at each call.
+    """
+    if key.r > MAX_CLASS_R:
+        return _representative(key.r, key.heads, key.tails)
+    return _built(tuple(_representatives(key.r)[bytes(key.heads + key.tails)]))
 
 
 @dataclass(frozen=True)
@@ -163,20 +206,25 @@ def census_records(r: int) -> list[CensusRow]:
     """Nontrivial class counts grouped by the reduced representative's
     structural type; the flip partner's type rides along since one class
     can be displayed in either form."""
-    return _census_rows(r, enumerate_classes(r))
+    _check_class_r(r)  # before the cache, which takes True or 2.0 for 1 or 2
+    return list(_census(r))
 
 
-def _census_rows(r: int, keys: list[CanonicalKey]) -> list[CensusRow]:
-    """``census_records`` of the enumerated classes ``keys`` of r."""
-    groups: dict[tuple[int, int], list[CanonicalKey]] = {}
-    for key in keys:
-        if not key.is_trivial:
-            groups.setdefault((key.arrow_count, key.loop_count), []).append(key)
-    # the members of a type group share their flip partner's type too
-    return [
-        CensusRow(r, a, l, type_label(a, l), members[0].partner_label, len(members))
-        for (a, l), members in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ]
+@functools.cache
+def _census(r: int) -> tuple[CensusRow, ...]:
+    """``census_records(r)`` for a checked r, counted once per process from
+    the generator of the class sets, so that no key list is built for it."""
+    # (arrows, loops) -> [a member's sets, count]; the members of a type
+    # group share their flip partner's type too
+    groups: dict[tuple[int, int], list] = {}
+    for heads, tails in _class_sets(r):
+        if heads:
+            loops = len(set(heads) & set(tails))
+            groups.setdefault((len(heads) - loops, loops), [(heads, tails), 0])[1] += 1
+    return tuple(
+        CensusRow(r, a, l, type_label(a, l), _adopted_key(r, *sets).partner_label, count)
+        for (a, l), (sets, count) in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    )
 
 
 def census_by_type(r: int) -> dict[str, int]:

@@ -710,11 +710,35 @@ def _chunks(herm: DensityMatrix, firsts: list[int]) -> list[tuple[str, list[int]
     ]
 
 
-def _decompose_chunk(herm: DensityMatrix, done: list, chunk: tuple[str, list[int]]) -> None:
+def _stack_buffers(dim: int, chunks: list[tuple[str, list[int]]], workers: int) -> list[np.ndarray]:
+    """One complex buffer per thread at work, each the size of the longest
+    stack of ``chunks``, for ``_decompose_chunk`` to borrow; none when every
+    chunk holds one orbit.
+
+    The calling thread allocates them, so that they come from its own
+    malloc arena.  A worker thread lives for one evaluation, and glibc gives
+    a new thread a fresh arena when the last worker has not yet released
+    its own.  Such an arena's heap grows once to hold the largest block it
+    serves (glibc's mmap threshold rises to a freed stack's size), so
+    stacks allocated on the workers raised RSS by a step of up to 2.5 MiB at
+    some evaluation when the workers shared one CPU (``taskset -c 0``,
+    2-core host), and by at most 0.34 MiB from the caller's buffers.
+    """
+    longest = max((len(orbits) for _, orbits in chunks), default=1)
+    if longest == 1:
+        return []
+    return [np.empty(longest * dim * dim, np.complex128) for _ in range(workers)]
+
+
+def _decompose_chunk(
+    herm: DensityMatrix, done: list, stacks: list[np.ndarray], chunk: tuple[str, list[int]]
+) -> None:
     """Write (norm, route) of each orbit of the chunk (``_chunks``) into done
     at its plan index, from one np.linalg call on the stack of the orbits'
     matrices: herm permuted by each class's representative, or for "real
-    svd" that matrix's real form (``_real_form``).
+    svd" that matrix's real form (``_real_form``).  The stack is laid out
+    in a buffer borrowed from ``stacks`` (``_stack_buffers``), which holds
+    one for each thread at work.
 
     A chunk of one orbit decomposes the permuted array itself, so that no
     large matrix is copied; its real form is written over its own rows.
@@ -722,8 +746,9 @@ def _decompose_chunk(herm: DensityMatrix, done: list, chunk: tuple[str, list[int
     route, orbits = chunk
     plan, dim = _plan(herm.r), herm.dim
     if len(orbits) > 1:
-        dtype = np.float64 if route == "real svd" else np.complex128
-        stack = np.empty((len(orbits), dim, dim), dtype)
+        buffer = stacks.pop()
+        flat = buffer.view(np.float64) if route == "real svd" else buffer
+        stack = flat[: len(orbits) * dim * dim].reshape(len(orbits), dim, dim)
     for j, i in enumerate(orbits):
         key, rep, _ = plan[i]
         a = apply_permutation(herm, rep).entries
@@ -744,6 +769,8 @@ def _decompose_chunk(herm: DensityMatrix, done: list, chunk: tuple[str, list[int
         values = np.linalg.svd(stack, compute_uv=False)
     for i, row in zip(orbits, values):
         done[i] = float(row.sum()), route
+    if len(orbits) > 1:
+        stacks.append(buffer)
 
 
 def evaluate_criteria(
@@ -849,7 +876,8 @@ def evaluate_criteria(
             chunks = _chunks(herm, firsts)
             if one_thread:
                 workers = _worker_count(rho.dim, [len(orbits) for _, orbits in chunks])
-            _share(chunks, functools.partial(_decompose_chunk, herm, done), workers)
+            stacks = _stack_buffers(rho.dim, chunks, workers)
+            _share(chunks, functools.partial(_decompose_chunk, herm, done, stacks), workers)
     norms = [done[i if partner is None else partner][0] for i, partner in enumerate(partners)]
     routes = [done[i][1] for i in firsts]
     if sums is not None:

@@ -1,5 +1,11 @@
 """Command-line surface: frozen outputs, exit codes, determinism."""
 
+import contextlib
+import csv
+import gc
+import io
+import weakref
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -7,9 +13,10 @@ from click.testing import CliRunner
 from permsep import (
     DensityMatrix, _lapack, bell_pair_state, maximally_mixed_state, random_state, states, write_state_file,
 )
-from permsep import selftest
+from permsep import Permutation, census_records, cli, enumerate_classes, selftest
+from permsep.arrows import _arrows_of_sets, _permutation_of_arrows
 from permsep.cli import main
-from permsep.selftest import CHECK_NAMES
+from permsep.selftest import CHECK_NAMES, CheckResult
 
 
 @pytest.fixture()
@@ -179,6 +186,108 @@ class TestList:
         assert invoke(runner, "list", "-r", "9").exit_code == 2
 
 
+def _recorded_writes(monkeypatch) -> list:
+    """The messages of every click.echo call the CLI makes from now on."""
+    writes, echo = [], cli.click.echo
+    monkeypatch.setattr(cli.click, "echo", lambda *a, **k: writes.append(a) or echo(*a, **k))
+    return writes
+
+
+def _built_rep(key) -> str:
+    return str(_permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails)))
+
+
+def _class_lines(command: str, r: int, fmt: str) -> str:
+    """The output of ``list`` or ``enumerate-cosets``, formatted line by line
+    with each representative built directly, not read from the table."""
+    keys = enumerate_classes(r)
+    rows = census_records(r)
+    if (command, fmt) == ("list", "csv"):
+        lines = [f"{row.r},{row.arrow_count},{row.loop_count},{row.type_label},{row.count}" for row in rows]
+    elif command == "list":
+        lines = [f"r={r}: {len(keys)} classes, {len(keys) - 1} nontrivial criteria", ""]
+        lines.append(f"{'a':>3} {'l':>3}  {'label':<8} {'key':<28} representative")
+        for key in keys[1:]:
+            lines.append(
+                f"{key.arrow_count:>3} {key.loop_count:>3}  {key.type_label:<8} "
+                f"{key.render():<28} {_built_rep(key)}"
+            )
+        lines += ["", "census by type:", f"{'label':<8} {'flip-partner':<13} classes"]
+        lines += [f"{row.type_label:<8} {row.partner_label:<13} {row.count}" for row in rows]
+    elif fmt == "csv":
+        lines = ["r,heads,tails,a,l,label,representative"]
+        for key in keys:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="").writerow([
+                r, " ".join(map(str, key.heads)), " ".join(map(str, key.tails)),
+                key.arrow_count, key.loop_count, key.type_label, _built_rep(key),
+            ])
+            lines.append(out.getvalue())
+    else:
+        lines = [f"r={r}: {len(keys)} classes (1 trivial)"]
+        lines += [f"{key.render():<28} {key.type_label:<8} {_built_rep(key)}" for key in keys]
+    return "".join(line + "\n" for line in lines)
+
+
+class TestClassListings:
+    """``list`` and ``enumerate-cosets`` read the table of representatives
+    and write once."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("command", ["list", "enumerate-cosets"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_same_bytes_as_line_by_line(self, runner, command, fmt, r):
+        want = _class_lines(command, r, fmt)
+        for _ in range(2):
+            result = invoke(runner, command, "-r", str(r), "--format", fmt)
+            assert result.exit_code == 0
+            assert result.output == want
+
+    @pytest.mark.parametrize("args", [
+        ["list", "-r", "3"], ["list", "-r", "3", "--format", "csv"],
+        ["enumerate-cosets", "-r", "3"], ["enumerate-cosets", "-r", "3", "--format", "csv"],
+    ])
+    def test_one_write(self, runner, monkeypatch, args):
+        writes = _recorded_writes(monkeypatch)
+        assert invoke(runner, *args).exit_code == 0
+        assert len(writes) == 1
+
+    @pytest.mark.parametrize("command", ["list", "enumerate-cosets"])
+    def test_patched_representative_is_shown(self, runner, monkeypatch, command):
+        invoke(runner, command, "-r", "5")
+        marker = Permutation((2, 1) + tuple(range(3, 11)))
+        monkeypatch.setattr(cli, "representative_permutation", lambda key: marker)
+        result = invoke(runner, command, "-r", "5")
+        assert result.exit_code == 0
+        assert result.output.count(" (1,2)\n") == 126 - (command == "list")
+
+
+class TestInProcess:
+    def test_redirected_streams_are_released(self, tmp_path):
+        # click.echo without a file kept each new sys.stdout alive for good
+        write_state_file(tmp_path / "bell.state", bell_pair_state(2, 2, 1, 2))
+        (tmp_path / "bad.state").write_text("1 2\n")
+        runs = [
+            ["list", "-r", "3"], ["list", "-r", "3", "--format", "csv"],
+            ["enumerate-cosets", "-r", "3"], ["canon", "-r", "2", "--trace", "(2,3)"],
+            ["equiv", "-r", "2", "(2,3)", "(1,4)"], ["eval", str(tmp_path / "bell.state")],
+            ["eval", str(tmp_path / "bad.state")], ["selftest", "--only", "worked-example"],
+        ]
+        refs = []
+        for args in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    main.main(args=args, standalone_mode=False)
+                except SystemExit as exc:  # eval's data error
+                    assert exc.code == 3 and err.getvalue().startswith("error: ")
+            assert out.getvalue() or err.getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+
 class TestEnumerateCosets:
     def test_r2_csv(self, runner):
         result = invoke(runner, "enumerate-cosets", "-r", "2", "--format", "csv")
@@ -250,6 +359,32 @@ class TestEval:
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[-1] == "verdict,ENTANGLED,max,2.000000000000"
+
+    def test_report_in_one_write(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "bell.state"
+        write_state_file(path, bell_pair_state(3, 2, 1, 3))
+        writes = _recorded_writes(monkeypatch)
+        classes = [
+            ("QT", "1", "1", 2), ("R", "3", "1", 2), ("R", "1", "3", 2), ("QT", "3", "3", 2),
+            ("R", "2", "1", 1), ("R", "1", "2", 1), ("R", "3", "2", 1), ("R", "2", "3", 1),
+            ("QT", "2", "2", 1),
+        ]
+        text = invoke(runner, "eval", str(path))
+        assert text.exit_code == 0
+        assert text.output == (
+            "state: r=3 d=2 (8x8)\n"
+            "label    key                          norm\n"
+            + "".join(f"{lab:<8} {f'H={{{h}}} T={{{t}}}':<28} {n:.12f}\n" for lab, h, t, n in classes)
+            + "max norm: 2.000000000000 (tolerance 1e-09)\n"
+            "verdict: ENTANGLED\n"
+        )
+        table = invoke(runner, "eval", "--format", "csv", str(path))
+        assert table.exit_code == 0
+        assert table.output == (
+            "".join(f"3,{lab},{h},{t},{n:.12f}\n" for lab, h, t, n in classes)
+            + "verdict,ENTANGLED,max,2.000000000000\n"
+        )
+        assert len(writes) == 2
 
     def test_invalid_file_exit_3(self, runner, tmp_path):
         path = tmp_path / "broken.state"
@@ -423,6 +558,22 @@ class TestHelp:
 
 
 class TestSelftest:
+    def test_report_in_one_write(self, runner, monkeypatch):
+        results = [
+            CheckResult("worked-example", True, "ok", 0.125),
+            CheckResult("class-census", False, "off by one", 2.0),
+        ]
+        monkeypatch.setattr(cli, "run_checks", lambda names, seed: results)
+        writes = _recorded_writes(monkeypatch)
+        result = invoke(runner, "selftest")
+        assert result.exit_code == 1
+        assert result.output == (
+            "[PASS] worked-example (0.12s): ok\n"
+            "[FAIL] class-census (2.00s): off by one\n"
+            "1/2 checks passed, 1 FAILED\n"
+        )
+        assert len(writes) == 1
+
     def test_subset_runs(self, runner):
         result = invoke(
             runner,

@@ -25,8 +25,9 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep.arrows import _reduced_key
-from permsep.normgroup import _parity_filter
+from permsep import normgroup
+from permsep.arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
+from permsep.normgroup import MAX_CLASS_R, _parity_filter
 from conftest import random_permutation
 
 
@@ -151,6 +152,14 @@ class TestEnumerateClasses:
         with pytest.raises(ValueError, match="1..8"):
             enumerate_classes(9)
 
+    def test_fresh_list_each_call(self):
+        keys = enumerate_classes(3)
+        keys.clear()
+        rows = census_records(3)
+        rows.clear()
+        assert len(enumerate_classes(3)) == 10
+        assert sum(row.count for row in census_records(3)) == 9
+
     @pytest.mark.parametrize("r", [2.0, True, "2"])
     def test_non_integer_r_named(self, r):
         with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
@@ -162,6 +171,14 @@ class TestEnumerateClasses:
         with pytest.raises(TypeError, match=f"^r must be an integer, got {r!r}$"):
             class_count(r)
         assert class_count(np.int64(3)) == 10
+
+
+@pytest.fixture
+def fresh_table():
+    """The tables of representatives built anew in the test, and dropped after it."""
+    normgroup._representatives.cache_clear()
+    yield
+    normgroup._representatives.cache_clear()
 
 
 class TestRepresentative:
@@ -178,6 +195,42 @@ class TestRepresentative:
         for r in range(1, 7):
             for key in enumerate_classes(r):
                 assert canonical_key(representative_permutation(key)) == key
+
+    @pytest.mark.parametrize("r", range(1, MAX_CLASS_R + 1))
+    def test_table_holds_the_construction(self, r):
+        for key in enumerate_classes(r):
+            rep = representative_permutation(key)
+            assert rep == _permutation_of_arrows(r, _arrows_of_sets(key.heads, key.tails))
+            assert type(rep.images) is tuple and canonical_key(rep) == key
+
+    def test_each_representative_checked_once(self, fresh_table, monkeypatch):
+        calls = []
+        real = normgroup.canonical_key
+        monkeypatch.setattr(normgroup, "canonical_key", lambda p: calls.append(p) or real(p))
+        for _ in range(3):
+            for key in enumerate_classes(4):
+                representative_permutation(key)
+        assert len(calls) == class_count(4)
+
+    def test_corrupted_construction_fails_when_the_table_is_built(self, fresh_table, monkeypatch):
+        real = normgroup._arrows_of_sets
+        monkeypatch.setattr(normgroup, "_arrows_of_sets", lambda h, t: real(h, t)[:-1])
+        with pytest.raises(RuntimeError, match="fails to round-trip"):
+            representative_permutation(CanonicalKey(3, (), ()))
+        monkeypatch.undo()
+        # a failed build leaves no table behind
+        assert representative_permutation(CanonicalKey(3, (2,), (1,))) == parse_permutation("(2,3)", 6)
+
+    def test_key_beyond_the_table(self, monkeypatch):
+        key = CanonicalKey(MAX_CLASS_R + 4, (1, 5, 9), (5, 7, 12))
+        monkeypatch.setattr(normgroup, "_representatives", None)  # never consulted
+        rep = representative_permutation(key)
+        assert rep == _permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails))
+        assert canonical_key(rep) == key
+        real = normgroup._arrows_of_sets
+        monkeypatch.setattr(normgroup, "_arrows_of_sets", lambda h, t: real(h, t)[:-1])
+        with pytest.raises(RuntimeError, match="fails to round-trip"):
+            representative_permutation(key)
 
 
 class TestCensus:

@@ -627,9 +627,9 @@ class TestOrbitEvaluation:
         monkeypatch.setattr(states, "_STACK_BYTES", matrices * 16 * 16**2)
         chunks, decompose = {}, states._decompose_chunk
 
-        def recording(herm, done, chunk):
+        def recording(herm, done, stacks, chunk):
             chunks.setdefault(chunk[0], []).append(len(chunk[1]))
-            decompose(herm, done, chunk)
+            decompose(herm, done, stacks, chunk)
 
         monkeypatch.setattr(states, "_decompose_chunk", recording)
         rho = random_state(4, 2, seed=2)
@@ -1258,6 +1258,45 @@ class TestLocalUnitaryInvariance:
             assert route in message, message
 
 
+def _mixed(p: float, rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:
+    return DensityMatrix(rho1.r, rho1.d, p * rho1.entries + (1 - p) * rho2.entries)
+
+
+class TestConvexity:
+    """Every class norm is a norm of a linear image of the state, so it is
+    convex in the state: mixing never raises it above the mix of the norms,
+    whichever route each of the three evaluations takes."""
+
+    @settings(property_settings, max_examples=100)
+    @given(
+        kinds=st.tuples(st.sampled_from(LU_KINDS), st.sampled_from(LU_KINDS)),
+        size=st.sampled_from(LU_SIZES),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        p=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-15, 1 - 1e-15])),
+    )
+    def test_class_norms_are_convex(self, kinds, size, seeds, p):
+        rho1, rho2 = (_lu_state(kind, *size, seed) for kind, seed in zip(kinds, seeds))
+        one, two = evaluate_criteria(rho1), evaluate_criteria(rho2)
+        mix = evaluate_criteria(_mixed(p, rho1, rho2))
+        for a, b, m in zip(one.records, two.records, mix.records):
+            bound = p * a.norm + (1 - p) * b.norm
+            # the certified routes' norms are within 1e-12 of the dense ones
+            assert m.norm <= bound + 1e-11 * max(1.0, bound), (m.key.render(), m.norm, bound)
+
+    @pytest.mark.parametrize("kinds, r, d, p, route", [
+        (("pure", "random"), 4, 3, 1 - 1e-15, " pure (bound "),
+        (("pure", "random"), 4, 3, 0.999, " 12 svd, 7 eigvalsh, 3 real svd, 0 pure (mixed), no swap "),
+        (("noisy-ghz", "ghz"), 4, 3, 0.5, " certified: "),
+        (("noisy-ghz", "random"), 4, 3, 0.999, ", no swap "),
+    ], ids=["pure", "pure-plus-noise", "swap", "swap-plus-generic"])
+    def test_mixes_cross_routes(self, kinds, r, d, p, route):
+        # a little noise takes a pure state off the pure route, and a
+        # generic state a symmetric one off the swap pairing
+        rho = _mixed(p, *(_lu_state(kind, r, d, seed=5) for kind in kinds))
+        message = _evaluation_message(rho)
+        assert route in message, message
+
+
 class TestStateFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "state.txt"
@@ -1560,9 +1599,9 @@ class TestBenchmarkHooks:
             applied.append(apply(rho, sigma))
             return applied[-1]
 
-        def counting_decompose(herm, done, chunk):
+        def counting_decompose(herm, done, stacks, chunk):
             chunks.append(chunk)
-            decompose(herm, done, chunk)
+            decompose(herm, done, stacks, chunk)
 
         monkeypatch.setattr(states, "apply_permutation", counting_apply)
         monkeypatch.setattr(states, "_decompose_chunk", counting_decompose)
@@ -1629,7 +1668,7 @@ class TestBlasThreads:
         get, set_ = _lapack._openblas_threads()
         caller = get()
 
-        def failing_decompose(herm, done, chunk):
+        def failing_decompose(herm, done, stacks, chunk):
             raise RuntimeError("decomposition failed")
 
         monkeypatch.setattr(states, "_decompose_chunk", failing_decompose)
@@ -1791,7 +1830,10 @@ class TestBlasThreads:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="reads the RSS from /proc")
     def test_short_lived_workers_keep_rss_flat(self, monkeypatch):
         # each evaluation starts and joins a worker thread, whose OpenBLAS
-        # buffers and stacks must go with it
+        # buffers and stacks must go with it; and the stacks of orbits come
+        # from the caller, so the fresh malloc arena that glibc may give a
+        # new worker does not grow to hold one (pinned to one CPU this
+        # happened at a random evaluation)
         def rss() -> int:
             with open("/proc/self/statm") as fh:
                 return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
