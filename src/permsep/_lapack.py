@@ -89,24 +89,19 @@ def _openblas_threads():
     return get, set_
 
 
-# LAPACK routines of numpy's bundled OpenBLAS: (character flags, pointer
-# arguments).  Fortran passes every argument by reference, and the length
-# of each character flag hidden at the end.  The library is ILP64: its
-# integers are 64-bit.
-_LAPACK_ARGUMENTS = {"zpotrf": (1, 4)}
-
-
 @functools.cache
-def _lapack(name: str):
-    """The ``ctypes`` function of LAPACK routine ``name`` in numpy's bundled
+def _zpotrf():
+    """The ``ctypes`` function of LAPACK's zpotrf in numpy's bundled
     OpenBLAS, or None when there is no such library or the symbol is
     missing.  ctypes releases the GIL for the duration of each call."""
     try:
-        routine = getattr(_openblas(), f"scipy_{name}_64_")
+        routine = _openblas().scipy_zpotrf_64_
     except AttributeError:  # also when there is no library
         return None
-    flags, pointers = _LAPACK_ARGUMENTS[name]
-    routine.argtypes = [ctypes.c_char_p] * flags + [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * flags
+    # Fortran passes every argument by reference, and the length of the
+    # character flag hidden at the end.  The library is ILP64: its integers
+    # are 64-bit.
+    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
     routine.restype = None
     return routine
 
@@ -121,7 +116,7 @@ def _factor_in_place(a: np.ndarray) -> bool:
     ``np.linalg.cholesky`` decides, at the cost of a factor that is thrown
     away.
     """
-    zpotrf = _lapack("zpotrf")
+    zpotrf = _zpotrf()
     if zpotrf is None:
         try:
             np.linalg.cholesky(a)

@@ -10,13 +10,8 @@ import click
 
 from .perms import PermutationParseError, _render_cycles, _shown, parse_permutation
 from .arrows import _equivalence, canonicalize, type_label
-from .normgroup import (
-    MAX_CLASS_R,
-    class_count,
-    enumerate_classes,
-    representative_permutation,
-    _census,
-)
+from .normgroup import MAX_CLASS_R, census_records, class_count, enumerate_classes
+from .normgroup import representative_permutation
 from ._defaults import CHECK_NAMES, DEFAULT_SEED, VERDICT_TOLERANCE
 
 EXIT_DATA_ERROR = 3
@@ -153,7 +148,7 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
 def list_classes(subsystems: int, fmt: str) -> None:
     """List the nontrivial criterion classes and the census by type."""
     r = _check_r(subsystems)
-    rows = _census(r)
+    rows = census_records(r)
     if fmt == "csv":
         _echo(
             "".join(

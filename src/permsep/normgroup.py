@@ -203,28 +203,26 @@ class CensusRow:
 
 
 def census_records(r: int) -> list[CensusRow]:
-    """Nontrivial class counts grouped by the reduced representative's
-    structural type; the flip partner's type rides along since one class
-    can be displayed in either form."""
-    _check_class_r(r)  # before the cache, which takes True or 2.0 for 1 or 2
-    return list(_census(r))
+    """Nontrivial class counts by the reduced representative's type, a arrows
+    and l loops, in rank order; the flip partner's type rides along since
+    one class can be displayed in either form.
 
-
-@functools.cache
-def _census(r: int) -> tuple[CensusRow, ...]:
-    """``census_records(r)`` for a checked r, counted once per process from
-    the generator of the class sets, so that no key list is built for it."""
-    # (arrows, loops) -> [a member's sets, count]; the members of a type
-    # group share their flip partner's type too
-    groups: dict[tuple[int, int], list] = {}
-    for heads, tails in _class_sets(r):
-        if heads:
-            loops = len(set(heads) & set(tails))
-            groups.setdefault((len(heads) - loops, loops), [(heads, tails), 0])[1] += 1
-    return tuple(
-        CensusRow(r, a, l, type_label(a, l), _adopted_key(r, *sets).partner_label, count)
-        for (a, l), (sets, count) in sorted(groups.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    )
+    Choosing the loops, then the arrows' heads, then their tails gives
+    C(r, l) * C(r - l, a) * C(r - l - a, a) set pairs of a type: each one a
+    class's reduced pair when 2(a + l) < r, and none when 2(a + l) > r; at
+    2(a + l) = r the flip keeps the type and puts two pairs in each class.
+    A count over ``enumerate_classes`` cross-checks it (selftest and tests).
+    """
+    _check_class_r(r)
+    rows = []
+    for n in range(1, r // 2 + 1):
+        for a in range(n + 1):
+            l = n - a
+            count = math.comb(r, l) * math.comb(r - l, a) * math.comb(r - l - a, a)
+            if 2 * n == r:
+                count //= 2
+            rows.append(CensusRow(r, a, l, type_label(a, l), type_label(a, r - 2 * a - l), count))
+    return rows
 
 
 def census_by_type(r: int) -> dict[str, int]:

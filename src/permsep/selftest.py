@@ -8,6 +8,7 @@ is echoed in the result details.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import time
@@ -18,14 +19,9 @@ import numpy as np
 
 from ._defaults import CHECK_NAMES, DEFAULT_SEED
 from .perms import Permutation, compose, inverse, parse_permutation, _parity_kind
-from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key
-from .normgroup import (
-    _parity_filter,
-    census_by_type,
-    enumerate_classes,
-    group_elements,
-    representative_permutation,
-)
+from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key, type_label
+from .normgroup import CensusRow, census_by_type, census_records, enumerate_classes
+from .normgroup import _parity_filter, group_elements, representative_permutation
 from .states import (
     DensityMatrix,
     VERDICT_TOLERANCE,
@@ -63,6 +59,18 @@ def _random_operator(rng: np.random.Generator, r: int, d: int) -> DensityMatrix:
     dim = d**r
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return DensityMatrix(r, d, g)
+
+
+def _enumerated_census(r: int) -> list[CensusRow]:
+    """``census_records(r)`` counted over ``enumerate_classes(r)``, each key
+    with its own partner label: the route independent of the closed form."""
+    keys = enumerate_classes(r)
+    counts = collections.Counter((len(k.heads), k.arrow_count, k.partner_label) for k in keys)
+    return [
+        CensusRow(r, a, n - a, type_label(a, n - a), partner, count)
+        for (n, a, partner), count in sorted(counts.items())
+        if n  # not the trivial class
+    ]
 
 
 def _rewrite_key(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,7 +143,8 @@ def _check_worked_example(seed: int) -> tuple[bool, str]:
 
 
 def _check_census(seed: int) -> tuple[bool, str]:
-    """Nontrivial totals 2 / 9 / 34 with the expected type breakdown."""
+    """Nontrivial totals 2 / 9 / 34 with the expected type breakdown, and
+    the closed-form census equal to a count over the enumerated classes."""
     want = {
         2: {"QT": 1, "R": 1},
         3: {"QT": 3, "R": 6},
@@ -143,8 +152,10 @@ def _check_census(seed: int) -> tuple[bool, str]:
     }
     got = {r: census_by_type(r) for r in (2, 3, 4)}
     totals = {r: sum(v.values()) for r, v in got.items()}
-    ok = got == want and totals == {2: 2, 3: 9, 4: 34}
-    return ok, f"census {got}, totals {totals}"
+    differ = [r for r in (2, 3, 4) if census_records(r) != _enumerated_census(r)]
+    ok = got == want and totals == {2: 2, 3: 9, 4: 34} and not differ
+    counted = f"differs at r={differ}" if differ else "equals"
+    return ok, f"census {got}, totals {totals}; closed form {counted} the enumerated count"
 
 
 def _check_norm_preservation(seed: int) -> tuple[bool, str]:

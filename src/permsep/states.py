@@ -402,10 +402,10 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     """
     if key.is_trivial:
         raise ValueError("the trivial class detects nothing")
-    if d < 2:
-        raise ValueError(f"local dimension must be at least 2, got {_shown(d)}")
     r = key.r
     _check_dims(r, d)
+    if d < 2:
+        raise ValueError(f"local dimension must be at least 2, got {_shown(d)}")
     arrows = _arrows_of_sets(key.heads, key.tails)
     loops = [t for t, h in arrows if t == h]
     free = sorted(set(range(1, r + 1)) - set(key.heads) - set(key.tails))

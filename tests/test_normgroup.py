@@ -1,5 +1,6 @@
 """The norm-preserving group and the criterion class census."""
 
+import dataclasses
 import itertools
 import math
 
@@ -25,7 +26,7 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep import normgroup
+from permsep import normgroup, selftest
 from permsep.arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
 from permsep.normgroup import MAX_CLASS_R, _parity_filter
 from conftest import random_permutation
@@ -263,6 +264,35 @@ class TestCensus:
             "R+QT": "R+QT",
             "2R": "2R",
         }
+
+    @pytest.mark.parametrize("r", range(1, MAX_CLASS_R + 1))
+    def test_closed_form_equals_the_enumerated_count(self, r):
+        # the count over the classes is the reference; it takes every key's
+        # own partner label, so the formula's partner rule cannot drift
+        # from CanonicalKey.partner_label
+        assert census_records(r) == selftest._enumerated_census(r)
+
+    def test_a_key_with_another_partner_label_splits_its_row(self, monkeypatch):
+        real = CanonicalKey.partner_label.fget
+        odd = enumerate_classes(4)[-1]
+        monkeypatch.setattr(CanonicalKey, "partner_label",
+                            property(lambda key: "R" if key == odd else real(key)))
+        rows = selftest._enumerated_census(4)
+        assert len(rows) == len(census_records(4)) + 1
+        assert sum(row.count for row in rows) == class_count(4) - 1
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: rows[:-1],
+        lambda rows: [dataclasses.replace(rows[0], count=rows[0].count + 1), *rows[1:]],
+    ], ids=["row dropped", "count off by one"])
+    def test_selftest_catches_a_wrong_closed_form(self, monkeypatch, corrupt):
+        # only the cross-check sees it: census_by_type, behind the anchors,
+        # still reads the real formula
+        real = selftest.census_records
+        monkeypatch.setattr(selftest, "census_records", lambda r: corrupt(real(r)))
+        (result,) = selftest.run_checks(["class-census"])
+        assert not result.passed
+        assert "totals {2: 2, 3: 9, 4: 34}; closed form differs at r=[2, 3, 4]" in result.detail
 
     def test_totals_match_class_count(self):
         for r in range(1, 8):

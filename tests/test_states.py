@@ -219,6 +219,10 @@ class TestStateFactory:
         (lambda: bell_pair_state(2, 2, True, 2), "k must be an integer, got True"),
         (lambda: bell_pair_state(2, 2, 1, 2.0), "l must be an integer, got 2.0"),
         (lambda: basis_product_state(2, 2, levels=(0.5, 0)), "level must be an integer, got 0.5"),
+        (lambda: detector_state(canonical_key(parse_permutation("(1,4)", 4)), "2"),
+         "local dimension must be an integer, got '2'"),
+        (lambda: detector_state(canonical_key(parse_permutation("(1,4)", 4)), True),
+         "local dimension must be an integer, got True"),
     ])
     def test_non_integer_subsystems_and_levels_rejected(self, call, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
@@ -1477,7 +1481,7 @@ class TestStateFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 2.5 if _lapack._lapack("zpotrf") is not None else 3.5
+        bound = 2.5 if _lapack._zpotrf() is not None else 3.5
         assert peak <= bound * 16 * 256**2
 
     def test_one_debug_record_per_read(self, tmp_path, caplog):
@@ -2040,10 +2044,10 @@ class TestPositivityCertificate:
         # the in-place zpotrf and its np.linalg.cholesky fallback, each on
         # a negative eigenvalue just above and just below the floor; the
         # factor certifies alone only above half the floor
-        if route == "zpotrf" and _lapack._lapack("zpotrf") is None:
+        if route == "zpotrf" and _lapack._zpotrf() is None:
             pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
         if route == "numpy":
-            monkeypatch.setattr(_lapack, "_lapack", lambda name: None)
+            monkeypatch.setattr(_lapack, "_zpotrf", lambda: None)
         rho = self._state_at_the_floor(r, d, scale)
         lo = float(np.min(np.linalg.eigvalsh(rho.entries)))
         assert (lo < EIGENVALUE_FLOOR) == (scale > 1)
@@ -2051,7 +2055,7 @@ class TestPositivityCertificate:
         expected = [f"minimum eigenvalue {lo:.3e} < {EIGENVALUE_FLOOR}"] if scale > 1 else []
         assert rho.state_violations() == expected
 
-    @pytest.mark.skipif(_lapack._lapack("zpotrf") is None, reason="numpy's BLAS is not its bundled OpenBLAS")
+    @pytest.mark.skipif(_lapack._zpotrf() is None, reason="numpy's BLAS is not its bundled OpenBLAS")
     def test_in_place_factor_reads_the_lower_triangle(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 7, 64):
