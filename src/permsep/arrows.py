@@ -185,7 +185,7 @@ class CanonicalKey:
                 raise ValueError(f"{name} leave subsystems 1..{_shown(self.r)}: {_shown(seq)}")
         if len(self.heads) != len(self.tails):
             raise ValueError("head and tail sets must have equal size")
-        if _reduce_sets(self.r, self.heads, self.tails) != (self.heads, self.tails):
+        if _reduce_sorted(self.r, self.heads, self.tails) != (self.heads, self.tails):
             raise ValueError(
                 f"key H={set(self.heads) or {}} T={set(self.tails) or {}} "
                 "is not flip-reduced"
@@ -217,7 +217,7 @@ class CanonicalKey:
     @property
     def rank(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Deterministic sort rank: (#arrows + #loops, tails, heads)."""
-        return _key_rank((self.heads, self.tails))
+        return (len(self.heads), self.tails, self.heads)
 
     @property
     def key(self) -> "CanonicalKey":
@@ -225,8 +225,8 @@ class CanonicalKey:
         return self
 
     def render(self) -> str:
-        h = "{" + ",".join(str(k) for k in self.heads) + "}"
-        t = "{" + ",".join(str(k) for k in self.tails) + "}"
+        h = "{" + ",".join(map(str, self.heads)) + "}"
+        t = "{" + ",".join(map(str, self.tails)) + "}"
         return f"H={h} T={t}"
 
 
@@ -442,42 +442,48 @@ def _untangle(
 def _flip_sets(
     r: int, heads: Iterable[int], tails: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(head, tail) sets of the flipped configuration.
+    """(head, tail) sets of the flipped configuration, as sorted tuples.
 
     Flipping reverses arrows, removes loops, and puts loops on every free
     subsystem: new heads are the old non-loop tails plus the old free set,
     which is the complement of the old heads, and symmetrically for tails.
+    The complements are read off 1..r in order, so they need no sort; the
+    membership tests go through sets, which keeps a key of thousands of
+    subsystems from a quadratic scan.
     """
-    everything = set(range(1, r + 1))
-    new_heads, new_tails = everything - set(heads), everything - set(tails)
-    return (tuple(sorted(new_heads)), tuple(sorted(new_tails)))
+    subsystems = range(1, r + 1)
+    heads, tails = set(heads), set(tails)
+    return (
+        tuple([k for k in subsystems if k not in heads]),
+        tuple([k for k in subsystems if k not in tails]),
+    )
 
 
-def _key_rank(
-    sets: tuple[tuple[int, ...], tuple[int, ...]]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    heads, tails = sets
-    return (len(heads), tails, heads)
+def _reduce_sorted(
+    r: int, heads: tuple[int, ...], tails: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lower-ranked of the (heads, tails) pair of sorted tuples and its
+    flip partner: the one copy of the flip reduction.
+
+    The rank leads with #heads, and a flip turns k heads into r - k, so
+    the set sizes decide unless 2k = r; only then are (tails, heads)
+    compared.  Equal ranks mean equal sets, and flipping has no fixed
+    point, so the choice is never a tie.
+    """
+    twice = 2 * len(heads)
+    if twice < r:
+        return heads, tails
+    flipped_heads, flipped_tails = _flip_sets(r, heads, tails)
+    if twice > r or (flipped_tails, flipped_heads) < (tails, heads):
+        return flipped_heads, flipped_tails
+    return heads, tails
 
 
 def _reduce_sets(
     r: int, heads: Iterable[int], tails: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The lower-ranked of the (heads, tails) pair and its flip partner.
-
-    The rank leads with #heads, and a flip turns k heads into r - k, so
-    the set sizes decide unless 2k = r; only then are whole ranks compared.
-    Equal ranks mean equal sets, and flipping has no fixed point, so the
-    choice is never a tie.
-    """
-    mine = (tuple(sorted(heads)), tuple(sorted(tails)))
-    twice = 2 * len(mine[0])
-    if twice < r:
-        return mine
-    flipped = _flip_sets(r, *mine)
-    if twice > r:
-        return flipped
-    return min(mine, flipped, key=_key_rank)
+    """``_reduce_sorted`` of sets given in any order, as any iterables."""
+    return _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails)))
 
 
 def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> CanonicalKey:
@@ -487,7 +493,7 @@ def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> Canonica
 
 def _adopted_key(r: int, heads: tuple[int, ...], tails: tuple[int, ...]) -> CanonicalKey:
     """The key with these sorted, flip-reduced set tuples, which the caller
-    has just produced (``_reduce_sets`` does by construction).
+    has just produced (``_reduce_sorted`` does by construction).
 
     Skips the constructor's checks, which would only repeat the reduction.
     """
@@ -503,7 +509,7 @@ def _transpose_key(key: CanonicalKey) -> CanonicalKey:
     parity profile turns heads into complemented tails and back: the sets
     swap roles and are flip-reduced.
     """
-    return _reduced_key(key.r, key.tails, key.heads)
+    return _adopted_key(key.r, *_reduce_sorted(key.r, key.tails, key.heads))
 
 
 def _rewrite(
@@ -627,11 +633,11 @@ def canonical_key(sigma: Permutation) -> CanonicalKey:
     share a key exactly when one is the other times a norm-preserving
     permutation on the right.
     """
-    r = sigma.subsystems
-    rows, cols = sigma.images[0::2], sigma.images[1::2]
-    heads = [l for l, img in enumerate(rows, start=1) if img % 2 == 0]
-    tails = [k for k, img in enumerate(cols, start=1) if img % 2 == 1]
-    return _reduced_key(r, heads, tails)
+    images = sigma.images
+    heads = tuple([l for l, img in enumerate(images[0::2], start=1) if not img & 1])
+    tails = tuple([k for k, img in enumerate(images[1::2], start=1) if img & 1])
+    r = len(images) // 2
+    return _adopted_key(r, *_reduce_sorted(r, heads, tails))
 
 
 def key_of_configuration(config: ArrowConfiguration) -> CanonicalKey:

@@ -90,27 +90,27 @@ def canon(subsystems: int, show_trace: bool, show_sketch: bool, perm: str) -> No
     r = _check_r(subsystems)
     sigma = _parse_or_fail(perm, r)
     trace = canonicalize(sigma)
+    lines = []
     if show_trace:
-        _echo(f"cycles: {_render_cycles(trace.input_cycles)}")
+        lines.append(f"cycles: {_render_cycles(trace.input_cycles)}")
         for step in trace.steps:
             mult = _render_cycles(step.multiplier) if step.multiplier else "-"
-            _echo(
-                f"{step.rule}: {step.detail}; multiplier {mult} -> {step.state}"
-            )
+            lines.append(f"{step.rule}: {step.detail}; multiplier {mult} -> {step.state}")
     key = trace.key
-    _echo(f"normal form: {trace.configuration.render()}")
+    lines.append(f"normal form: {trace.configuration.render()}")
     if show_sketch:
         cells = {(a.tail, a.head) for a in trace.configuration.arrows}
-        _echo("sketch (rows: tails, columns: heads):")
-        _echo("    " + " ".join(str(h) for h in range(1, r + 1)))
+        lines.append("sketch (rows: tails, columns: heads):")
+        lines.append("    " + " ".join(str(h) for h in range(1, r + 1)))
         for t in range(1, r + 1):
             row = " ".join(
                 ("@" if t == h else ">") if (t, h) in cells else "."
                 for h in range(1, r + 1)
             )
-            _echo(f"  {t} {row}")
-    _echo(f"canonical key: {key.render()}")
-    _echo(f"label: {key.type_label}")
+            lines.append(f"  {t} {row}")
+    lines.append(f"canonical key: {key.render()}")
+    lines.append(f"label: {key.type_label}")
+    _echo("\n".join(lines))
 
 
 @main.command()
@@ -129,11 +129,13 @@ def equiv(subsystems: int, perm1: str, perm2: str) -> None:
             "internal error: canonical keys and the parity test disagree", err=True
         )
         sys.exit(1)
-    _echo("EQUIVALENT" if same else "INDEPENDENT")
-    _echo(f"canonical key 1: {key1.render()}")
-    _echo(f"canonical key 2: {key2.render()}")
     parity = "norm-preserving" if same else "not norm-preserving"
-    _echo(f"parity test on perm2^-1 * perm1 = {witness}: {parity}")
+    _echo("\n".join([
+        "EQUIVALENT" if same else "INDEPENDENT",
+        f"canonical key 1: {key1.render()}",
+        f"canonical key 2: {key2.render()}",
+        f"parity test on perm2^-1 * perm1 = {witness}: {parity}",
+    ]))
 
 
 @main.command(name="list")

@@ -19,7 +19,7 @@ from typing import Iterator
 from .perms import Permutation, global_transpose, identity, permutation_from_cycles
 from .perms import _built, _check_integer, _parity_kind, _shown
 from .arrows import CanonicalKey, canonical_key, type_label
-from .arrows import _adopted_key, _arrows_of_sets, _permutation_of_arrows, _reduce_sets
+from .arrows import _adopted_key, _arrows_of_sets, _permutation_of_arrows, _reduce_sorted
 
 __all__ = [
     "is_norm_preserving",
@@ -130,7 +130,7 @@ def _class_sets(r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         for k in range(r // 2 + 1)
         for tails in itertools.combinations(subsystems, k)
         for heads in itertools.combinations(subsystems, k)
-        if 2 * k < r or _reduce_sets(r, heads, tails) == (heads, tails)
+        if 2 * k < r or _reduce_sorted(r, heads, tails) == (heads, tails)
     )
 
 
@@ -139,7 +139,7 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     rank order (#arrows + #loops, tails, heads).
 
     A flip turns k heads into r - k, so pairs with 2k < r are reduced and
-    pairs with 2k > r are not; at 2k = r ``_reduce_sets`` decides.  Sets
+    pairs with 2k > r are not; at 2k = r ``_reduce_sorted`` decides.  Sets
     from ``itertools.combinations`` come in lexicographic order, so k,
     then tails, then heads is rank order, and no set or sort is needed.
     """

@@ -34,7 +34,7 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _transpose_key
+from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _reduce_sorted, _transpose_key
 from permsep.arrows import RewriteStep, _configuration, _prune_cycles, _rewrite, _rewritten
 from permsep.arrows import key_of_configuration
 from permsep.perms import _cycles_of_images, _render_cycles
@@ -220,27 +220,47 @@ class TestFlip:
                         assert _flip_sets(r, heads, tails) != (heads, tails)
 
     def test_reduction_is_the_lower_ranked_partner(self):
-        # oracle without the set-size shortcut: build the complement pair,
-        # then take the minimum by (#heads, tails, heads).  canonical_key
-        # and the CanonicalKey check both call _reduce_sets, so only an
-        # oracle outside it can catch a wrong shortcut.
+        # canonical_key and the CanonicalKey check both call _reduce_sorted,
+        # so only an oracle outside it can catch a wrong shortcut
         ties = 0
         for r in range(1, 8):
             subsystems = range(1, r + 1)
             for k in range(r + 1):
                 for heads in itertools.combinations(subsystems, k):
                     for tails in itertools.combinations(subsystems, k):
-                        flipped = (
-                            tuple(s for s in subsystems if s not in heads),
-                            tuple(s for s in subsystems if s not in tails),
-                        )
-                        want = min(
-                            (heads, tails), flipped, key=lambda p: (len(p[0]), p[1], p[0])
-                        )
+                        want = _lower_ranked(r, heads, tails)
+                        assert _reduce_sorted(r, heads, tails) == want
                         assert _reduce_sets(r, heads, tails) == want
                         assert _reduce_sets(r, reversed(heads), set(tails)) == want
                         ties += 2 * k == r
         assert ties == sum(math.comb(r, r // 2) ** 2 for r in (2, 4, 6))
+
+    @property_settings
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda r: st.integers(0, r).flatmap(
+                lambda k: st.tuples(
+                    st.just(r), *[st.lists(st.integers(1, r), min_size=k, max_size=k, unique=True)] * 2
+                )
+            )
+        )
+    )
+    def test_reduction_of_sets_in_any_order(self, case):
+        r, heads, tails = case
+        want = _lower_ranked(r, heads, tails)
+        assert _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails))) == want
+        for form in (list, frozenset, lambda s: (k for k in s)):
+            assert _reduce_sets(r, form(heads), form(tails)) == want
+
+
+def _lower_ranked(r, heads, tails):
+    """The flip reduction by brute force: both drawings of the class, as
+    sets, each ranked by (#heads, tails, heads), without the set-size
+    shortcut or the sorted-tuple flip."""
+    everything = set(range(1, r + 1))
+    drawings = [(set(heads), set(tails)), (everything - set(heads), everything - set(tails))]
+    _, tails, heads = min((len(h), tuple(sorted(t)), tuple(sorted(h))) for h, t in drawings)
+    return heads, tails
 
 
 def _all_valid_configs(r):

@@ -230,8 +230,8 @@ def _class_lines(command: str, r: int, fmt: str) -> str:
 
 
 class TestClassListings:
-    """``list`` and ``enumerate-cosets`` read the table of representatives
-    and write once."""
+    """``list`` and ``enumerate-cosets`` read the table of representatives;
+    they, ``canon`` and ``equiv`` write once."""
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("command", ["list", "enumerate-cosets"])
@@ -246,6 +246,8 @@ class TestClassListings:
     @pytest.mark.parametrize("args", [
         ["list", "-r", "3"], ["list", "-r", "3", "--format", "csv"],
         ["enumerate-cosets", "-r", "3"], ["enumerate-cosets", "-r", "3", "--format", "csv"],
+        ["canon", "-r", "3", "(2,3)"], ["canon", "-r", "3", "--trace", "--sketch", "(2,3,6)"],
+        ["equiv", "-r", "2", "(2,3)", "(1,4)"], ["equiv", "-r", "2", "(2,3)", "(1,2)"],
     ])
     def test_one_write(self, runner, monkeypatch, args):
         writes = _recorded_writes(monkeypatch)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permsep import (
     Permutation,
@@ -20,7 +20,7 @@ from permsep import (
     permutation_from_cycles,
 )
 from permsep.arrows import _permutation_of_arrows
-from permsep.perms import _read_cycles, _shown, _walk
+from permsep.perms import _TABLE_DEGREE, _read_cycles, _shown, _walk
 from conftest import permutations_of_degree, property_settings, random_permutation
 
 # the grammar's characters, blanks that str.isspace accepts, and digits
@@ -39,23 +39,59 @@ def _outcome(parse, text, degree):
         return str(exc), exc.position
 
 
+def _inject(draw, text, fault, alphabet):
+    """text with the named fault at a drawn position: an insertion or a
+    replacement drawn from alphabet, or a deletion; otherwise text."""
+    i = draw(st.integers(0, len(text)))
+    if fault == "insert":
+        return text[:i] + draw(alphabet) + text[i:]
+    if fault == "delete":
+        return text[:i] + text[i + 1 :]
+    if fault == "replace":
+        return text[:i] + draw(alphabet) + text[i + 1 :]
+    return text
+
+
 @st.composite
 def _faulty_cycle_text(draw):
     """str() of a random permutation, with at most one fault injected, and
     a degree of 2..24 that may be too small for its points."""
     r = draw(st.integers(1, 12))
     text = str(draw(permutations_of_degree(r)))
-    i = draw(st.integers(0, len(text)))
     fault = draw(st.sampled_from(["none", "insert", "delete", "replace", "append"]))
-    if fault == "insert":
-        text = text[:i] + draw(_FAULT) + text[i:]
-    elif fault == "delete":
-        text = text[:i] + text[i + 1 :]
-    elif fault == "replace":
-        text = text[:i] + draw(_FAULT) + text[i + 1 :]
-    elif fault == "append":  # cycles that repeat points of the first ones
+    text = _inject(draw, text, fault, _FAULT)
+    if fault == "append":  # cycles that repeat points of the first ones
         text += str(draw(permutations_of_degree(r)))
     return text, draw(st.integers(max(1, r - 1), min(12, r + 1))) * 2
+
+
+# the largest degree the point table covers, and the next, which the
+# walker reads
+_EDGE_DEGREES = (_TABLE_DEGREE, _TABLE_DEGREE + 2)
+# what a fault at those degrees may insert: the points at the table's edge,
+# with and without leading zeros, and a run one digit too long
+_EDGE_FAULT = st.sampled_from(
+    [str(_TABLE_DEGREE + d) for d in (-1, 0, 1, 2, 3)]
+    + ["0" + str(_TABLE_DEGREE), "0001", "00001", "0", ",", ")(", "("]
+)
+
+
+@st.composite
+def _edge_cycle_text(draw):
+    """Cycle text at a degree of _EDGE_DEGREES, with at most one fault: the
+    str() of a full random permutation, or of one that moves a few points,
+    mostly near the top."""
+    degree = draw(st.sampled_from(_EDGE_DEGREES))
+    images = list(range(1, degree + 1))
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(images)
+    else:
+        points = st.integers(degree - 3, degree) | st.integers(1, degree)
+        moved = draw(st.lists(points, unique=True, max_size=6))
+        for point, image in zip(moved, draw(st.permutations(moved))):
+            images[point - 1] = image
+    fault = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    return _inject(draw, str(Permutation(tuple(images))), fault, _EDGE_FAULT), degree
 
 
 class TestParse:
@@ -214,6 +250,32 @@ class TestParse:
     def test_same_images_and_errors_as_the_walker(self, case):
         text, degree = case
         assert _outcome(parse_permutation, text, degree) == _outcome(_walk, text, degree)
+
+    @settings(parent=property_settings, max_examples=100)
+    @given(_edge_cycle_text())
+    def test_same_images_and_errors_at_the_table_bound(self, case):
+        text, degree = case
+        assert _outcome(parse_permutation, text, degree) == _outcome(_walk, text, degree)
+        if degree > _TABLE_DEGREE:
+            assert _read_cycles(text, degree) is None
+
+    @pytest.mark.parametrize("degree", _EDGE_DEGREES)
+    def test_table_route_ends_at_its_bound(self, degree):
+        text = f"(0001,{degree})({degree - 1},{degree - 2})"
+        want = [degree, *range(2, degree - 2), degree - 1, degree - 2, 1]
+        assert (_read_cycles(text, degree) == want) == (degree <= _TABLE_DEGREE)
+        assert list(parse_permutation(text, degree).images) == want
+        for run in ("1" * 5000, "0" * 4999 + "1"):
+            assert _read_cycles(f"({run},2)", degree) is None
+            assert _read_cycles(f"(1,2)(3,{run})", degree) is None
+
+    @pytest.mark.parametrize("degree", [2, 10, 24, 100, _TABLE_DEGREE])
+    def test_numpy_degree_reads_the_same_images(self, degree):
+        text = f"(1,{degree})" + ("(2,03)" if degree > 2 else "")
+        images = _read_cycles(text, np.int64(degree))
+        assert images == _read_cycles(text, degree) and images is not None
+        assert all(type(p) is int for p in images)
+        assert parse_permutation(text, np.int64(degree)) == parse_permutation(text, degree)
 
     def test_degree_never_inferred(self):
         p = parse_permutation("(1,2)", 8)
