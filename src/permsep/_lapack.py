@@ -30,8 +30,8 @@ import numpy as np
 # thread zpotrf costs at most about 1 ms more (dim 361: 3.3 against 2.2 ms;
 # dims 64-256 equal within noise).
 _ONE_THREAD_MAX_DIM = 361
-# On the one-thread route, dims _WORKER_MIN_DIM to _WORKER_MAX_DIM share an
-# evaluation's stacks of orbits among up to _MAX_WORKERS threads.  np.linalg
+# On the one-thread route, an evaluation's stacks of orbits are shared among
+# up to _MAX_WORKERS threads: one worker per GIL-free stack.  np.linalg
 # holds the GIL while it decomposes a stack of k dim-n matrices unless
 # k * n > _GIL_RELEASE_SIZE, numpy's threshold for releasing it in a ufunc
 # loop.  On a 2-core host two threads overlapped 1.5-2.0x on stacks of 4
@@ -42,14 +42,14 @@ _ONE_THREAD_MAX_DIM = 361
 # dim 64 1.9x, 81 1.1-1.6x and 128 1.7-2.1x; but 0.7-0.8x at dim 32 (r = 5:
 # one stack of 55 SVDs, and one of 15 eigvalsh, which holds the GIL) and
 # 0.8-1.0x at dim 125 (r = 3: stacks of 3), which this rule keeps serial.
-# Above _WORKER_MAX_DIM a stack holds at most 3 matrices, too few to release
-# the GIL, and from dim 182 on one; so dims 129-361 stay serial.  Only two
-# workers have been measured.  A third would save a sixth of the serial time
-# where the second saves half, for another thread start; and
+# The 1 MiB stacks of states.py keep dims outside 32-128 serial too: from
+# dim 129 on a stack holds at most 3 matrices, and 3 * 147 < 500, so none
+# releases the GIL; below dim 32 no r <= 8 has two stacks that do.  So two
+# workers start only at dims 64, 81 and 128, and 32 for unpaired orbits.
+# Only two workers have been measured.  A third would save a sixth of the
+# serial time where the second saves half, for another thread start; and
 # os.sched_getaffinity does not see a cgroup's CPU quota, so without the cap
 # a container given 2 CPUs of a large host would start one per host CPU.
-_WORKER_MIN_DIM = 32
-_WORKER_MAX_DIM = 128
 _MAX_WORKERS = 2
 _GIL_RELEASE_SIZE = 500
 
@@ -134,12 +134,9 @@ def _factor_in_place(a: np.ndarray) -> bool:
 
 def _worker_count(dim: int, stacks: list[int]) -> int:
     """The threads, the caller included, that share an evaluation's stacks
-    of dim-dim matrices, of the given sizes, on the one-thread route: up to
-    _MAX_WORKERS, one per usable CPU and at most one per stack that
-    np.linalg decomposes without holding the GIL, for dims in the worker
-    window; else 1."""
-    if not _WORKER_MIN_DIM <= dim <= _WORKER_MAX_DIM:
-        return 1
+    of dim-dim matrices, of the given sizes, on the one-thread route: one
+    per stack that np.linalg decomposes without holding the GIL, up to
+    _MAX_WORKERS and one per usable CPU, and at least 1."""
     free = sum(size * dim > _GIL_RELEASE_SIZE for size in stacks)
     return max(1, min(_MAX_WORKERS, len(os.sched_getaffinity(0)), free))
 

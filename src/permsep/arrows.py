@@ -32,6 +32,7 @@ rewrite rules produce the normal form and the trace that explain the key.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -77,6 +78,7 @@ def _check_r(r) -> None:
     """The constructors' rule for r: an integer whose degree 2r passes
     ``perms._check_degree``, so that r can always be printed."""
     _check_integer("r", r)
+    r = operator.index(r)  # a numpy integer's 2 * r would wrap around
     if r < 1:
         raise ValueError(f"r must be positive, got {_shown(r)}")
     if 2 * r > sys.maxsize:

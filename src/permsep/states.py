@@ -18,6 +18,7 @@ import functools
 import itertools
 import logging
 import numbers
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -123,6 +124,7 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
 def _check_dims(r: int, d: int) -> int:
     _check_integer("subsystem count", r)
     _check_integer("local dimension", d)
+    r, d = operator.index(r), operator.index(d)  # a numpy integer's d**r wraps around
     if r < 1:
         raise ValueError(f"subsystem count must be positive, got {_shown(r)}")
     if d < 1:
@@ -176,7 +178,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.d**self.r
+        return len(self.entries)  # d^r, which the constructor checked
 
     def state_violations(self) -> list[str]:
         """Human-readable list of violated state invariants (empty if none)."""
@@ -473,31 +475,35 @@ _BOUND_SHARE = 1e-3
 _PURITY_SCREEN = 1 - 1e-6
 
 
+def _distance(m: np.ndarray, block) -> float:
+    """||m - B||_F, for block(rows) a fresh array of B's rows, summed a block
+    of rows at a time, so that no dim x dim temporary is held."""
+    square = 0.0
+    for rows in _row_blocks(len(m)):
+        b = block(rows)
+        np.subtract(m[rows], b, out=b)
+        square += np.vdot(b, b).real
+    return float(np.sqrt(square))
+
+
 def _pure_vector(m: np.ndarray) -> tuple[np.ndarray | None, float]:
     """(psi, ||m - psi psi^dagger||_F) for the Hermitian m, where psi is
     m's column j over sqrt(m[j, j]) at its largest diagonal entry; or
     (None, inf) when m's purity tr(m^2) shows that it is mixed.
 
-    Then psi psi^dagger and m share column j.  The distance is summed a
-    block of rows at a time, so no dim x dim temporary is held.
+    Then psi psi^dagger and m share column j.
     """
     if np.vdot(m, m).real < _PURITY_SCREEN:
         return None, np.inf
     j = int(np.argmax(m.diagonal().real))
     psi = m[:, j] / np.sqrt(m[j, j].real)
     bra = psi.conj()
-    square = 0.0
-    for rows in _row_blocks(len(m)):
-        block = np.outer(psi[rows], bra)
-        np.subtract(m[rows], block, out=block)
-        square += np.vdot(block, block).real
-    return psi, float(np.sqrt(square))
+    return psi, _distance(m, lambda rows: np.outer(psi[rows], bra))
 
 
-def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
-    """orbit(key, rep) -> (norm, "pure") for the class norms of psi psi^dagger,
-    and the Schmidt sums it fills, by row subsystems; a plain dict, so that
-    orbit runs on one thread.
+def _factored_norms(psi: np.ndarray, r: int, d: int, keys: list) -> tuple[list[float], int]:
+    """The norms of psi psi^dagger under the classes of keys, and the number
+    of Schmidt SVDs they took.
 
     Under sigma, the psi subscript of subsystem k lands on an output row
     when sigma(2k - 1) is odd, and its conjugate's when sigma(2k) is.  With
@@ -512,7 +518,7 @@ def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
     """
     tensor = psi.reshape((d,) * r)
     everyone = frozenset(range(r))
-    sums: dict[frozenset[int], float] = {}
+    sums: dict[frozenset[int], float] = {}  # S(X) by row subsystems
 
     def schmidt(subsystems: tuple[int, ...]) -> float:
         rows = frozenset(k - 1 for k in subsystems)
@@ -529,10 +535,8 @@ def _factored_norms(psi: np.ndarray, r: int, d: int) -> tuple:
             sums[rows] = trace_norm(square)
         return sums[rows]
 
-    def orbit(key: CanonicalKey, rep: Permutation) -> tuple[float, str]:
-        return schmidt(key.heads) * schmidt(key.tails), "pure"
-
-    return orbit, sums
+    norms = [schmidt(key.heads) * schmidt(key.tails) for key in keys]
+    return norms, len(sums)
 
 
 def _involution_basis(r: int, d: int, pairs) -> np.ndarray:
@@ -556,17 +560,6 @@ def _swap_bases(r: int, d: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray
     bases = np.array(swapped, dtype=np.intp).reshape(len(pairs), d**r)
     bases.setflags(write=False)
     return pairs, bases
-
-
-def _swap_distance(m: np.ndarray, s: np.ndarray) -> float:
-    """||m - P m P^dagger||_F for the swap with basis permutation s, summed a
-    block of rows at a time, so that no dim x dim temporary is held."""
-    square = 0.0
-    for rows in _row_blocks(len(m)):
-        block = m[s[rows, None], s]
-        np.subtract(m[rows], block, out=block)
-        square += np.vdot(block, block).real
-    return float(np.sqrt(square))
 
 
 @functools.cache
@@ -637,7 +630,8 @@ def _swap_pairing(herm: DensityMatrix, limit: float) -> tuple[tuple | None, str]
     pairs, bases = _swap_bases(herm.r, herm.d)
     diagonal = m.diagonal()
     screen = root * np.linalg.norm(diagonal - diagonal[bases], axis=1)
-    deltas = {pairs[i]: _swap_distance(m, bases[i]) for i in np.flatnonzero(screen < limit)}
+    past = np.flatnonzero(screen < limit)
+    deltas = {pairs[i]: _distance(m, lambda rows, s=bases[i]: m[s[rows, None], s]) for i in past}
     if not deltas:
         return None, "no swap past the screen"
     certified = tuple(pair for pair, delta in deltas.items() if root * delta < limit)
@@ -731,10 +725,10 @@ def _stack_buffers(dim: int, chunks: list[tuple[str, list[int]]], workers: int) 
 
 
 def _decompose_chunk(
-    herm: DensityMatrix, done: list, stacks: list[np.ndarray], chunk: tuple[str, list[int]]
+    herm: DensityMatrix, norms: list, stacks: list[np.ndarray], chunk: tuple[str, list[int]]
 ) -> None:
-    """Write (norm, route) of each orbit of the chunk (``_chunks``) into done
-    at its plan index, from one np.linalg call on the stack of the orbits'
+    """Write the norm of each orbit of the chunk (``_chunks``) into norms at
+    its plan index, from one np.linalg call on the stack of the orbits'
     matrices: herm permuted by each class's representative, or for "real
     svd" that matrix's real form (``_real_form``).  The stack is laid out
     in a buffer borrowed from ``stacks`` (``_stack_buffers``), which holds
@@ -768,7 +762,7 @@ def _decompose_chunk(
     else:
         values = np.linalg.svd(stack, compute_uv=False)
     for i, row in zip(orbits, values):
-        done[i] = float(row.sum()), route
+        norms[i] = float(row.sum())
     if len(orbits) > 1:
         stacks.append(buffer)
 
@@ -835,15 +829,17 @@ def evaluate_criteria(
     it on one thread, and one that sets the count meanwhile may race with
     the restore.
 
-    From dim 32 to 128, the stacks of a state off the pure route are then
-    shared among up to 2 threads, the caller one of them, and no more than
-    the usable CPUs or the stacks that np.linalg decomposes without holding
-    the GIL; ``permsep._lapack`` holds that policy and its measurements.
-    Each norm is stored by its class's index, so the report does not depend
-    on which thread finishes first, and an error in any thread is raised
-    here once all have stopped.  ``apply_permutation`` is looked up as a
-    module global for each orbit, so a function put in its place is called
-    from several threads at once and must be thread-safe.
+    On one OpenBLAS thread, the stacks of a state off the pure route are
+    shared among one worker per stack that np.linalg decomposes without
+    holding the GIL, up to 2, the caller one of them, and no more than the
+    usable CPUs.  Dims outside 32 to 128 stay serial: above, a 1 MiB stack
+    holds too few matrices to release the GIL, and below, no r has two
+    stacks that do; ``permsep._lapack`` holds that rule and its
+    measurements.  Each norm is stored by its class's index, so the report
+    does not depend on which thread finishes first, and an error in any
+    thread is raised here once all have stopped.  ``apply_permutation`` is
+    looked up as a module global for each orbit, so a function put in its
+    place is called from several threads at once and must be thread-safe.
     """
     _valid_tolerance(tolerance)
     r, m = rho.r, rho.entries
@@ -853,35 +849,35 @@ def evaluate_criteria(
     if not np.array_equal(m, m.conj().T):
         herm = _adopt(r, rho.d, (m + m.conj().T) / 2)
     partners = [partner for _, _, partner in plan]
-    workers, sums = 1, None
+    norms: list[float | None] = [None] * len(plan)  # by plan index
+    workers, chunks = 1, []
     with _blas_threads_for(rho.dim) as one_thread:
         limit = _BOUND_SHARE * min(tolerance, VERDICT_TOLERANCE)
         psi, delta = _pure_vector(herm.entries)
         bound = np.sqrt(rho.dim) * delta
-        if psi is not None and bound < limit:
-            orbit, sums = _factored_norms(psi, r, rho.d)
-            route, swaps = f"bound {bound:.1e} < {limit:.0e}", "swaps unchecked"
-        else:
+        pure = psi is not None and bound < limit
+        if not pure:
             route = "mixed" if psi is None else f"bound {bound:.1e} >= {limit:.0e}"
             swapped, swaps = _swap_pairing(herm, limit)
             if swapped is not None:
                 partners = swapped
         firsts = [i for i, partner in enumerate(partners) if partner is None]
-        # (norm, route) by plan index, whichever worker finishes first
-        done: list[tuple[float, str] | None] = [None] * len(plan)
-        if sums is not None:  # the Schmidt sums are one plain dict: one thread
-            for i in firsts:
-                done[i] = orbit(*plan[i][:2])
+        if pure:  # on the caller alone: the Schmidt sums are one plain dict
+            factored, svds = _factored_norms(psi, r, rho.d, [plan[i][0] for i in firsts])
+            for i, norm in zip(firsts, factored):
+                norms[i] = norm
+            route = f"bound {bound:.1e} < {limit:.0e}, {svds} schmidt svd"
+            swaps = "swaps unchecked"
         else:
             chunks = _chunks(herm, firsts)
             if one_thread:
                 workers = _worker_count(rho.dim, [len(orbits) for _, orbits in chunks])
             stacks = _stack_buffers(rho.dim, chunks, workers)
-            _share(chunks, functools.partial(_decompose_chunk, herm, done, stacks), workers)
-    norms = [done[i if partner is None else partner][0] for i, partner in enumerate(partners)]
-    routes = [done[i][1] for i in firsts]
-    if sums is not None:
-        route += f", {len(sums)} schmidt svd"
+            _share(chunks, functools.partial(_decompose_chunk, herm, norms, stacks), workers)
+    for i, partner in enumerate(partners):
+        if partner is not None:
+            norms[i] = norms[partner]
+    kinds = [kind for kind, orbits in chunks for _ in orbits]
     records = tuple(
         ClassNorm(key, rep, norm) for (key, rep, _), norm in zip(plan, norms)
     )
@@ -890,8 +886,8 @@ def evaluate_criteria(
     _log.debug(
         "evaluate r=%d d=%d: %d classes, %d orbits, %d svd, %d eigvalsh, "
         "%d real svd, %d pure (%s), %s, %s, %d worker%s",
-        r, rho.d, len(records), len(routes),
-        *map(routes.count, ("svd", "eigvalsh", "real svd", "pure")),
+        r, rho.d, len(records), len(firsts),
+        *map(kinds.count, ("svd", "eigvalsh", "real svd")), len(firsts) if pure else 0,
         route, swaps, "1 blas thread" if one_thread else "blas threads unchanged",
         workers, "" if workers == 1 else "s",
     )

@@ -314,10 +314,12 @@ class TestConfigurationValidity:
             (-(10**5000), ValueError, "r must be positive, got -<16610-bit integer>"),
             (10**5000, ValueError, r"r must be at most sys\.maxsize // 2, got <16610-bit integer>"),
             (sys.maxsize // 2 + 1, ValueError, rf"r must be at most sys\.maxsize // 2, got {sys.maxsize // 2 + 1}"),
+            # 2r wraps around in 64 bits
+            (np.int64(sys.maxsize // 2 + 1), ValueError, rf"r must be at most sys\.maxsize // 2, got {sys.maxsize // 2 + 1}"),
             (2.0, TypeError, "r must be an integer, got 2.0"),
             (True, TypeError, "r must be an integer, got True"),
         ],
-        ids=["zero", "negative", "huge-negative", "huge", "degree-beyond-maxsize", "float", "bool"],
+        ids=["zero", "negative", "huge-negative", "huge", "degree-beyond-maxsize", "numpy-degree-beyond-maxsize", "float", "bool"],
     )
     def test_r_checked_as_the_key_checks_it(self, r, error, message):
         with pytest.raises(error, match=f"^{message}$"):

@@ -321,6 +321,34 @@ class TestStateFactory:
         want = evaluate_criteria(random_state(2, 2, seed=1))
         assert evaluate_criteria(rho) == want
         assert DensityMatrix(np.int8(1), np.uint16(2), np.eye(2) / 2).dim == 2
+        # 16^2 and 16^3 wrap around to 0 in 8 bits
+        assert DensityMatrix(np.uint8(2), np.uint8(16), np.eye(256) / 256).dim == 256
+        assert states._check_dims(np.uint8(3), np.uint8(16)) == 4096
+
+    @pytest.mark.parametrize(
+        "r, d", [(6, np.int64(4096)), (np.int32(3), np.int32(2000))], ids=["int64", "int32"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r, d: DensityMatrix(r, d, np.zeros((0, 0))),
+            maximally_mixed_state,
+            random_state,
+            random_separable_state,
+            ghz_state,
+            basis_product_state,
+            lambda r, d: swap_operator(r, d, 1, 2),
+        ],
+        ids=["constructor", "mixed", "random", "separable", "ghz", "basis", "swap"],
+    )
+    def test_numpy_integer_dimensions_past_the_guard_rejected(self, r, d, build):
+        # d**r in numpy's fixed width wrapped around, 4096^6 to 0, which built
+        # a 0x0 "state", and 2000^3 in 32 bits to -589934592
+        with pytest.raises(ValueError) as python:
+            build(int(r), int(d))
+        assert str(python.value) == f"total dimension {int(d)}^{int(r)} = {int(d) ** int(r)} exceeds guard 4096"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(python.value))}$"):
+            build(r, d)
 
     def test_validation_diagnostics(self):
         bad_trace = np.eye(4, dtype=complex)
@@ -631,9 +659,9 @@ class TestOrbitEvaluation:
         monkeypatch.setattr(states, "_STACK_BYTES", matrices * 16 * 16**2)
         chunks, decompose = {}, states._decompose_chunk
 
-        def recording(herm, done, stacks, chunk):
+        def recording(herm, norms, stacks, chunk):
             chunks.setdefault(chunk[0], []).append(len(chunk[1]))
-            decompose(herm, done, stacks, chunk)
+            decompose(herm, norms, stacks, chunk)
 
         monkeypatch.setattr(states, "_decompose_chunk", recording)
         rho = random_state(4, 2, seed=2)
@@ -841,11 +869,12 @@ class TestStructuredRoutes:
         assert PURE_ROUTE.search(message), message
 
     def test_pure_route_stays_serial(self, monkeypatch):
-        # the Schmidt sums are one plain dict, so even at a dim in the worker
-        # window, with CPUs to spare, the pure route runs on the caller alone
+        # the Schmidt sums are one plain dict, so even at r = 6, d = 2, where
+        # the dense route starts two workers, with CPUs to spare, the pure
+        # route runs on the caller alone
         monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         rho = ghz_state(6, 2)
-        assert _lapack._WORKER_MIN_DIM <= rho.dim <= _lapack._WORKER_MAX_DIM
+        assert WORKER_SIZES[6, 2] == 2
         message = _evaluation_message(rho)
         assert PURE_ROUTE.search(message), message
         assert message.endswith(", 1 worker"), message
@@ -860,10 +889,8 @@ class TestStructuredRoutes:
         key = canonical_key(sigma)
         assume(not key.is_trivial)
         psi, _ = states._pure_vector(rho.entries)
-        orbit, _ = states._factored_norms(psi, r, d)
-        norm, route = orbit(key, sigma)
+        (norm,), _ = states._factored_norms(psi, r, d, [key])
         dense = trace_norm(apply_permutation(rho, sigma))
-        assert route == "pure"
         assert abs(norm - dense) <= 1e-12 * dense
 
     def test_schmidt_svds_at_most_half_the_bipartitions(self):
@@ -1051,14 +1078,19 @@ class TestSwapPairing:
     @pytest.mark.parametrize("r, d", [(2, 3), (3, 2), (4, 2), (3, 7), (2, 20)])
     def test_swap_distance_is_the_dense_frobenius_distance(self, r, d):
         # the larger dims take several rows per block, and a last block that
-        # is not full
+        # is not full; the pure route's distance to psi psi^dagger is the
+        # same blockwise sum
         m = random_state(r, d, seed=d).entries
         pairs, bases = states._swap_bases(r, d)
         assert pairs == tuple(itertools.combinations(range(1, r + 1), 2))
         for (k, l), s in zip(pairs, bases):
             p = swap_operator(r, d, k, l)
             want = np.linalg.norm(m - p @ m @ p.conj().T)
-            assert abs(states._swap_distance(m, s) - want) <= 1e-12 * want
+            assert abs(states._distance(m, lambda rows: m[s[rows, None], s]) - want) <= 1e-12 * want
+        psi = m[:, 0] / np.sqrt(m[0, 0].real)
+        want = np.linalg.norm(m - np.outer(psi, psi.conj()))
+        distance = states._distance(m, lambda rows: np.outer(psi[rows], psi.conj()))
+        assert abs(distance - want) <= 1e-12 * want
 
     def test_orbit_counts_of_fully_symmetric_states(self):
         every = lambda r: tuple(itertools.combinations(range(1, r + 1), 2))
@@ -1603,9 +1635,9 @@ class TestBenchmarkHooks:
             applied.append(apply(rho, sigma))
             return applied[-1]
 
-        def counting_decompose(herm, done, stacks, chunk):
+        def counting_decompose(herm, norms, stacks, chunk):
             chunks.append(chunk)
-            decompose(herm, done, stacks, chunk)
+            decompose(herm, norms, stacks, chunk)
 
         monkeypatch.setattr(states, "apply_permutation", counting_apply)
         monkeypatch.setattr(states, "_decompose_chunk", counting_decompose)
@@ -1672,7 +1704,7 @@ class TestBlasThreads:
         get, set_ = _lapack._openblas_threads()
         caller = get()
 
-        def failing_decompose(herm, done, stacks, chunk):
+        def failing_decompose(herm, norms, stacks, chunk):
             raise RuntimeError("decomposition failed")
 
         monkeypatch.setattr(states, "_decompose_chunk", failing_decompose)
@@ -1904,7 +1936,25 @@ class TestWorkerRoute:
         # 8 dim-64 matrices are the fewest whose np.linalg call releases the GIL
         assert _lapack._worker_count(64, [16, 7, 7]) == 1
         assert _lapack._worker_count(64, [8, 8]) == 2
-        assert _lapack._worker_count(27, [64] * 3) == _lapack._worker_count(129, [8] * 3) == 1
+
+    def test_two_workers_only_where_two_stacks_release_the_gil(self, monkeypatch):
+        # every (r, d) that reaches the worker rule, its orbits transpose-paired
+        # or one per class, a superset of any swap pairing's: with CPUs to
+        # spare, two stacks release the GIL only at dims 64, 81 and 128, and
+        # at 32 for unpaired orbits, the dims where two workers were measured
+        # to pay; above dim 128 a 1 MiB stack is too small to release it
+        monkeypatch.setattr(_lapack.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        two = {True: set(), False: set()}
+        for r in range(1, 9):
+            plan = states._plan(r)
+            for d in itertools.takewhile(lambda d: d**r <= _lapack._ONE_THREAD_MAX_DIM, itertools.count(1)):
+                rho = maximally_mixed_state(r, d)
+                for paired in two:
+                    firsts = [i for i, (_, _, partner) in enumerate(plan) if partner is None or not paired]
+                    stacks = [len(orbits) for _, orbits in states._chunks(rho, firsts)]
+                    if _lapack._worker_count(rho.dim, stacks) == 2:
+                        two[paired].add((r, d))
+        assert two == {True: {(4, 3), (6, 2), (7, 2)}, False: {(4, 3), (5, 2), (6, 2), (7, 2)}}
 
     def test_a_signal_while_joining_stops_the_workers_first(self, monkeypatch):
         # the caller takes one job and holds it until the worker has taken
