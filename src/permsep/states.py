@@ -121,10 +121,13 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
     return None, "cholesky"
 
 
-def _check_dims(r: int, d: int) -> int:
+def _check_dims(r: int, d: int) -> tuple[int, int, int]:
+    """(r, d, d**r) as Python ints once r and d pass the guards.  The
+    callers go on with these: a numpy integer's fixed width wraps d**r,
+    and 1 / sqrt(d) of an 8- or 16-bit one is not a float64."""
     _check_integer("subsystem count", r)
     _check_integer("local dimension", d)
-    r, d = operator.index(r), operator.index(d)  # a numpy integer's d**r wraps around
+    r, d = operator.index(r), operator.index(d)
     if r < 1:
         raise ValueError(f"subsystem count must be positive, got {_shown(r)}")
     if d < 1:
@@ -139,19 +142,20 @@ def _check_dims(r: int, d: int) -> int:
     dim = d**r
     if dim > MAX_DIM:
         raise ValueError(f"total dimension {d}^{r} = {dim} exceeds guard {MAX_DIM}")
-    return dim
+    return r, d, dim
 
 
-def _entries_of(r: int, d: int, entries: np.ndarray) -> np.ndarray:
-    """entries checked against r and d, C-contiguous and read-only."""
-    dim = _check_dims(r, d)
+def _entries_of(r: int, d: int, entries: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """r and d as Python ints, and entries checked against them,
+    C-contiguous and read-only."""
+    r, d, dim = _check_dims(r, d)
     if entries.shape != (dim, dim):
         raise ValueError(
             f"entries must be {dim}x{dim} for r={r}, d={d}; got {entries.shape}"
         )
     entries = np.ascontiguousarray(entries, dtype=np.complex128)
     entries.setflags(write=False)
-    return entries
+    return r, d, entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +178,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         entries = np.array(self.entries, dtype=np.complex128, order="C")
-        object.__setattr__(self, "entries", _entries_of(self.r, self.d, entries))
+        r, d, entries = _entries_of(self.r, self.d, entries)
+        self.__dict__.update(r=r, d=d, entries=entries)
 
     @property
     def dim(self) -> int:
@@ -219,8 +224,9 @@ def _adopt(r: int, d: int, entries: np.ndarray) -> DensityMatrix:
     Runs the constructor's checks without its copy, so no one else may
     hold entries, or the array it views, afterwards.
     """
+    r, d, entries = _entries_of(r, d, entries)
     rho = object.__new__(DensityMatrix)
-    rho.__dict__.update(r=r, d=d, entries=_entries_of(r, d, entries))
+    rho.__dict__.update(r=r, d=d, entries=entries)
     return rho
 
 
@@ -276,7 +282,7 @@ def _check_pair(r: int, k: int, l: int) -> None:
 
 def swap_operator(r: int, d: int, k: int, l: int) -> np.ndarray:
     """Unitary permutation matrix exchanging subsystems k and l."""
-    dim = _check_dims(r, d)
+    r, d, dim = _check_dims(r, d)
     _check_pair(r, k, l)
     swapped = (
         np.arange(dim).reshape((d,) * r).swapaxes(k - 1, l - 1).reshape(dim)
@@ -315,7 +321,7 @@ def _pairs_state(r: int, d: int, pairs: list[tuple[int, int]]) -> DensityMatrix:
 
 def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -> DensityMatrix:
     """|levels><levels| in the computational basis (default all zeros)."""
-    dim = _check_dims(r, d)
+    r, d, dim = _check_dims(r, d)
     if levels is None:
         levels = (0,) * r
     for x in levels:
@@ -324,7 +330,7 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
         raise ValueError(f"levels must be r={r} integers in 0..{d - 1}, got {_shown(levels)}")
     index = 0
     for x in levels:
-        index = index * d + x
+        index = index * d + operator.index(x)  # a numpy level would wrap index
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[index, index] = 1.0
     return _adopt(r, d, m).validate_state()
@@ -332,19 +338,19 @@ def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -
 
 def bell_pair_state(r: int, d: int, k: int, l: int) -> DensityMatrix:
     """Maximally entangled pair on subsystems (k, l), maximally mixed rest."""
-    _check_dims(r, d)
+    r, d, _ = _check_dims(r, d)
     _check_pair(r, k, l)
     return _pairs_state(r, d, [(k, l)])
 
 
 def ghz_state(r: int, d: int) -> DensityMatrix:
     """Pure superposition of |i i ... i> over all levels i."""
-    _check_dims(r, d)
+    r, d, _ = _check_dims(r, d)
     return _adopt(r, d, _ghz_matrix(r, d)).validate_state()
 
 
 def maximally_mixed_state(r: int, d: int) -> DensityMatrix:
-    dim = _check_dims(r, d)
+    r, d, dim = _check_dims(r, d)
     return _adopt(r, d, np.eye(dim, dtype=np.complex128) / dim)
 
 
@@ -364,7 +370,7 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
     Deterministic per seed; the weights and the local vectors both come
     from the seeded generator.
     """
-    dim = _check_dims(r, d)
+    r, d, dim = _check_dims(r, d)
     _check_integer("terms", terms)
     if terms < 1:
         raise ValueError(f"need at least one product term, got {_shown(terms)}")
@@ -385,7 +391,7 @@ def random_separable_state(r: int, d: int, terms: int = 10, seed: int = 0) -> De
 
 def random_state(r: int, d: int, seed: int = 0) -> DensityMatrix:
     """Random density matrix G G^dagger / tr, G complex Gaussian."""
-    dim = _check_dims(r, d)
+    r, d, dim = _check_dims(r, d)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -404,8 +410,7 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     """
     if key.is_trivial:
         raise ValueError("the trivial class detects nothing")
-    r = key.r
-    _check_dims(r, d)
+    r, d, _ = _check_dims(key.r, d)
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {_shown(d)}")
     arrows = _arrows_of_sets(key.heads, key.tails)
@@ -946,10 +951,9 @@ def _parse_header(number: int, line: str) -> tuple[int, int, int]:
         raise StateFileError(f"header must be two integers, got {header!r}", number)
     _check_file_guard(r, number)
     try:
-        dim = _check_dims(r, d)
+        return _check_dims(r, d)
     except ValueError as exc:
         raise StateFileError(str(exc), number)
-    return r, d, dim
 
 
 def _read_streamed(path) -> tuple[int, int, np.ndarray] | None:

@@ -35,6 +35,7 @@ from permsep import (
     type_label,
 )
 from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _reduce_sorted, _transpose_key
+from permsep.arrows import _half_tables, _scanned_key, _selector_table
 from permsep.arrows import RewriteStep, _configuration, _prune_cycles, _rewrite, _rewritten
 from permsep.arrows import key_of_configuration
 from permsep.perms import _cycles_of_images, _render_cycles
@@ -249,6 +250,9 @@ class TestFlip:
         r, heads, tails = case
         want = _lower_ranked(r, heads, tails)
         assert _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails))) == want
+        # canonical_key hands in the complements its tables give
+        flipped = tuple(tuple(k for k in range(1, r + 1) if k not in s) for s in (heads, tails))
+        assert _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails)), flipped) == want
         for form in (list, frozenset, lambda s: (k for k in s)):
             assert _reduce_sets(r, form(heads), form(tails)) == want
 
@@ -533,6 +537,48 @@ class TestClosedFormKey:
         for factor in data.draw(st.lists(st.sampled_from(generators(r)), max_size=12)):
             g = compose(g, factor)
         assert canonical_key(compose(sigma, g)) == canonical_key(sigma)
+
+
+class TestTableKey:
+    """canonical_key's half tables (r <= 16) against the scan of the images."""
+
+    def test_every_parity_profile_up_to_r8(self):
+        # a profile is the set of the r slots that hold the odd images
+        for r in range(1, 9):
+            seen = 0
+            for odd_slots in itertools.combinations(range(2 * r), r):
+                odd, even = iter(range(1, 2 * r, 2)), iter(range(2, 2 * r + 1, 2))
+                odd_slots = set(odd_slots)
+                images = tuple(next(odd) if i in odd_slots else next(even) for i in range(2 * r))
+                assert canonical_key(Permutation(images)) == _scanned_key(images)
+                seen += 1
+            assert seen == math.comb(2 * r, r)
+
+    @property_settings
+    @given(st.integers(9, 17).flatmap(permutations_of_degree))
+    def test_random_permutations_across_the_bound(self, sigma):
+        assert canonical_key(sigma) == _scanned_key(sigma.images)
+
+    def test_numpy_images(self):
+        rng = np.random.default_rng(29)
+        for r in range(1, 18):
+            for images in (np.arange(1, 2 * r + 1), rng.permutation(2 * r) + 1):
+                sigma = Permutation(tuple(images))
+                plain = Permutation(tuple(map(int, images)))
+                assert canonical_key(sigma) == _scanned_key(sigma.images) == canonical_key(plain)
+
+    def test_tables_are_small_and_partition_their_subsystems(self):
+        for r in range(1, 17):
+            low, high = _half_tables(r)
+            halves = [(low, 1)] if high is None else [(low, 1), (high, 9)]
+            for table, offset in halves:
+                count = len(next(iter(table)))
+                assert len(table) == 2**count <= 256
+                for bits, (ones, zeros) in table.items():
+                    assert ones == tuple(k for k, b in enumerate(bits, start=offset) if b)
+                    assert zeros == tuple(k for k, b in enumerate(bits, start=offset) if not b)
+        # counts 1..8 from subsystem 1 and 1..8 from subsystem 9
+        assert _selector_table.cache_info().currsize <= 16
 
 
 class TestTransposeKey:

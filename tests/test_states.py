@@ -323,7 +323,46 @@ class TestStateFactory:
         assert DensityMatrix(np.int8(1), np.uint16(2), np.eye(2) / 2).dim == 2
         # 16^2 and 16^3 wrap around to 0 in 8 bits
         assert DensityMatrix(np.uint8(2), np.uint8(16), np.eye(256) / 256).dim == 256
-        assert states._check_dims(np.uint8(3), np.uint8(16)) == 4096
+        dims = states._check_dims(np.uint8(3), np.uint8(16))
+        assert dims == (3, 16, 4096) and all(type(x) is int for x in dims)
+
+    # The factories and the evaluation used to go on with the caller's 8- or
+    # 16-bit r and d: 1 / sqrt(int16) is a float32, and d**r or a basis
+    # index past 255 wraps around in 8 bits.
+
+    @pytest.mark.parametrize("build", [
+        lambda: ghz_state(2, np.int16(3)),
+        lambda: bell_pair_state(3, np.int16(3), 1, 2),
+    ], ids=["ghz", "bell"])
+    def test_int16_local_dimension_validates(self, build):
+        rho = build()  # raised StateValidationError, trace 0.99999996
+        assert rho.validate_state() is rho
+        assert (type(rho.r), type(rho.d)) == (int, int)
+
+    def test_uint8_ghz_dimension(self):
+        # was an IndexError: d**r read 0
+        assert ghz_state(np.uint8(2), np.uint8(16)).dim == 256
+
+    @pytest.mark.parametrize("r, d, levels, index", [
+        (np.uint8(3), np.uint8(16), (15, 15, 15), 4095),  # was |255><255|
+        (3, 7, (np.uint8(6),) * 3, 342),  # 8-bit levels: was |86><86|
+    ], ids=["uint8-dims", "uint8-levels"])
+    def test_uint8_basis_index(self, r, d, levels, index):
+        rho = basis_product_state(r, d, levels)
+        assert np.flatnonzero(rho.entries).tolist() == [index * (rho.dim + 1)]
+        assert rho.entries[index, index] == 1
+
+    def test_uint8_state_evaluates_like_int_dimensions(self):
+        # failed in _involution_basis on np.arange(d**r) of size 0
+        rho = DensityMatrix(np.uint8(2), np.uint8(16), np.eye(256) / 256)
+        assert (type(rho.r), type(rho.d)) == (int, int)
+        assert evaluate_criteria(rho) == evaluate_criteria(DensityMatrix(2, 16, np.eye(256) / 256))
+
+    def test_detector_state_takes_numpy_dimensions(self):
+        key = canonical_key(parse_permutation("(1,2)", 4))
+        rho = detector_state(key, np.int8(3))
+        assert (type(rho.r), type(rho.d)) == (int, int)
+        np.testing.assert_array_equal(rho.entries, detector_state(key, 3).entries)
 
     @pytest.mark.parametrize(
         "r, d", [(6, np.int64(4096)), (np.int32(3), np.int32(2000))], ids=["int64", "int32"]
