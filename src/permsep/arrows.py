@@ -36,14 +36,12 @@ trace that explain the key.
 from __future__ import annotations
 
 import functools
-import operator
-import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .perms import Permutation, compose, cycle_decomposition, inverse
 from .perms import _built, _check_degree, _cycles_of_images, _parity_kind
-from .perms import _check_integer, _render_cycles, _shown
+from .perms import _check_integer, _check_r, _render_cycles, _shown
 
 __all__ = [
     "Arrow",
@@ -78,17 +76,6 @@ class Arrow(NamedTuple):
         return f"{self.tail}->{self.head}"
 
 
-def _check_r(r) -> None:
-    """The constructors' rule for r: an integer whose degree 2r passes
-    ``perms._check_degree``, so that r can always be printed."""
-    _check_integer("r", r)
-    r = operator.index(r)  # a numpy integer's 2 * r would wrap around
-    if r < 1:
-        raise ValueError(f"r must be positive, got {_shown(r)}")
-    if 2 * r > sys.maxsize:
-        raise ValueError(f"r must be at most sys.maxsize // 2, got {_shown(r)}")
-
-
 @dataclass(frozen=True)
 class ArrowConfiguration:
     """A valid set of arrows/loops on subsystems {1, ..., r}.
@@ -104,14 +91,14 @@ class ArrowConfiguration:
     arrows: frozenset[Arrow]
 
     def __post_init__(self) -> None:
-        _check_r(self.r)
+        self.__dict__["r"] = r = _check_r(self.r)
         # a loop occupies its subsystem as both head and tail, so the two
         # uniqueness checks also ban arrows touching a loop's subsystem
         heads: set[int] = set()
         tails: set[int] = set()
         for a in sorted(self.arrows):
-            if not (1 <= a.tail <= self.r and 1 <= a.head <= self.r):
-                raise ValueError(f"arrow {a.render()} leaves subsystems 1..{_shown(self.r)}")
+            if not (1 <= a.tail <= r and 1 <= a.head <= r):
+                raise ValueError(f"arrow {a.render()} leaves subsystems 1..{_shown(r)}")
             if a.head in heads:
                 raise ValueError(f"two arrows share head {a.head}")
             if a.tail in tails:
@@ -179,7 +166,7 @@ class CanonicalKey:
     tails: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_r(self.r)
+        self.__dict__["r"] = r = _check_r(self.r)
         for name, seq in (("heads", self.heads), ("tails", self.tails)):
             if not isinstance(seq, tuple):
                 raise TypeError(f"{name} must be a tuple, got {_shown(seq)}")
@@ -187,11 +174,11 @@ class CanonicalKey:
                 _check_integer(f"{name} entry", k)
             if list(seq) != sorted(set(seq)):
                 raise ValueError(f"{name} must be strictly sorted: {_shown(seq)}")
-            if seq and not (1 <= seq[0] and seq[-1] <= self.r):
-                raise ValueError(f"{name} leave subsystems 1..{_shown(self.r)}: {_shown(seq)}")
+            if seq and not (1 <= seq[0] and seq[-1] <= r):
+                raise ValueError(f"{name} leave subsystems 1..{_shown(r)}: {_shown(seq)}")
         if len(self.heads) != len(self.tails):
             raise ValueError("head and tail sets must have equal size")
-        if _reduce_sorted(self.r, self.heads, self.tails) != (self.heads, self.tails):
+        if _reduce_sorted(r, self.heads, self.tails) != (self.heads, self.tails):
             raise ValueError(
                 f"key H={set(self.heads) or {}} T={set(self.tails) or {}} "
                 "is not flip-reduced"

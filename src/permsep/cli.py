@@ -8,8 +8,9 @@ import sys
 
 import click
 
-from .perms import PermutationParseError, _render_cycles, _shown, parse_permutation
-from .arrows import _equivalence, canonicalize, type_label
+from . import perms
+from .perms import PermutationParseError, _render_cycles, parse_permutation
+from .arrows import _equivalence, canonicalize
 from .normgroup import MAX_CLASS_R, census_records, class_count, enumerate_classes
 from .normgroup import representative_permutation
 from ._defaults import CHECK_NAMES, DEFAULT_SEED, VERDICT_TOLERANCE
@@ -58,9 +59,10 @@ def _parse_or_fail(text: str, r: int):
 
 
 def _check_r(r: int) -> int:
-    if not 1 <= r <= MAX_CLASS_R:
-        raise click.BadParameter(f"-r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
-    return r
+    try:
+        return perms._check_r(r, MAX_CLASS_R, name="-r")
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _check_tolerance(ctx, param, value: float) -> float:
@@ -171,9 +173,8 @@ def list_classes(subsystems: int, fmt: str) -> None:
         if key.is_trivial:
             continue
         rep = representative_permutation(key)
-        l = key.loop_count
-        a = len(key.heads) - l
-        lines.append(f"{a:>3} {l:>3}  {type_label(a, l):<8} {key.render():<28} {rep}")
+        facts = f"{key.arrow_count:>3} {key.loop_count:>3}  {key.type_label:<8}"
+        lines.append(f"{facts} {key.render():<28} {rep}")
     lines += ["", "census by type:", f"{'label':<8} {'flip-partner':<13} classes"]
     for row in rows:
         lines.append(f"{row.type_label:<8} {row.partner_label:<13} {row.count}")
@@ -199,16 +200,14 @@ def enumerate_cosets(subsystems: int, fmt: str) -> None:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["r", "heads", "tails", "a", "l", "label", "representative"])
         for key in keys:
-            l = key.loop_count
-            a = len(key.heads) - l
             writer.writerow(
                 [
                     r,
                     " ".join(map(str, key.heads)),
                     " ".join(map(str, key.tails)),
-                    a,
-                    l,
-                    type_label(a, l),
+                    key.arrow_count,
+                    key.loop_count,
+                    key.type_label,
                     str(representative_permutation(key)),
                 ]
             )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .perms import Permutation, global_transpose, identity, permutation_from_cycles
-from .perms import _built, _check_integer, _parity_kind, _shown
+from .perms import _built, _check_r, _parity_kind
 from .arrows import CanonicalKey, canonical_key, type_label
 from .arrows import _adopted_key, _arrows_of_sets, _permutation_of_arrows, _reduce_sorted
 
@@ -53,7 +53,7 @@ def classify(sigma: Permutation) -> str:
 
 def generators(r: int) -> list[Permutation]:
     """Even-even transpositions, odd-odd transpositions, global transpose."""
-    _check_integer("r", r)
+    r = _check_r(r)
     degree = 2 * r
     gens: list[Permutation] = []
     for k in range(1, r + 1):
@@ -95,9 +95,7 @@ def _parity_filter(r: int) -> frozenset[Permutation]:
 def group_elements(r: int) -> frozenset[Permutation]:
     """All 2 * r! * r! norm-preserving permutations of degree 2r: the
     breadth-first product closure of the generators, r <= 5."""
-    _check_integer("r", r)
-    if not 1 <= r <= MAX_GROUP_R:
-        raise ValueError(f"r must be in 1..{MAX_GROUP_R}, got {_shown(r)}")
+    r = _check_r(r, MAX_GROUP_R)
     closure = _closure(r)
     expected = 2 * math.factorial(r) ** 2
     if len(closure) != expected:
@@ -111,14 +109,8 @@ def group_elements(r: int) -> frozenset[Permutation]:
 
 
 def class_count(r: int) -> int:
-    _check_integer("r", r)
+    r = _check_r(r)
     return math.comb(2 * r, r) // 2
-
-
-def _check_class_r(r: int) -> None:
-    _check_integer("r", r)
-    if not 1 <= r <= MAX_CLASS_R:
-        raise ValueError(f"r must be in 1..{MAX_CLASS_R}, got {_shown(r)}")
 
 
 def _class_sets(r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -143,7 +135,7 @@ def enumerate_classes(r: int) -> list[CanonicalKey]:
     from ``itertools.combinations`` come in lexicographic order, so k,
     then tails, then heads is rank order, and no set or sort is needed.
     """
-    _check_class_r(r)
+    r = _check_r(r, MAX_CLASS_R)
     out = [_adopted_key(r, heads, tails) for heads, tails in _class_sets(r)]
     if len(out) != class_count(r):
         raise RuntimeError(
@@ -213,7 +205,7 @@ def census_records(r: int) -> list[CensusRow]:
     2(a + l) = r the flip keeps the type and puts two pairs in each class.
     A count over ``enumerate_classes`` cross-checks it (selftest and tests).
     """
-    _check_class_r(r)
+    r = _check_r(r, MAX_CLASS_R)
     rows = []
     for n in range(1, r // 2 + 1):
         for a in range(n + 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -133,6 +134,22 @@ def _check_degree(degree, error: type[ValueError] = ValueError) -> None:
         raise error(f"degree must be a positive even integer, got {_shown(degree)}")
     if degree > sys.maxsize:  # no sequence is that long
         raise error(f"degree {_shown(degree)} exceeds sys.maxsize")
+
+
+def _check_r(r, limit: int | None = None, name: str = "r") -> int:
+    """The subsystem-count rule: an integer in 1..limit, or with no limit
+    one whose degree 2r passes ``_check_degree``; returned as a Python int,
+    since a numpy integer's 2 * r or r + 1 would wrap around."""
+    _check_integer(name, r)
+    r = operator.index(r)
+    if limit is not None:
+        if not 1 <= r <= limit:
+            raise ValueError(f"{name} must be in 1..{limit}, got {_shown(r)}")
+    elif r < 1:
+        raise ValueError(f"{name} must be positive, got {_shown(r)}")
+    elif 2 * r > sys.maxsize:
+        raise ValueError(f"{name} must be at most sys.maxsize // 2, got {_shown(r)}")
+    return r
 
 
 def identity(degree: int) -> Permutation:

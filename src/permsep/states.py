@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._defaults import VERDICT_TOLERANCE
-from .perms import Permutation, _check_integer, _shown
+from .perms import Permutation, _check_integer, _check_r, _shown
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
 from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
 from ._lapack import _blas_threads_for, _factor_in_place, _share, _worker_count
@@ -124,21 +124,23 @@ def _minimum_eigenvalue(m: np.ndarray) -> tuple[float | None, str]:
 def _check_dims(r: int, d: int) -> tuple[int, int, int]:
     """(r, d, d**r) as Python ints once r and d pass the guards.  The
     callers go on with these: a numpy integer's fixed width wraps d**r,
-    and 1 / sqrt(d) of an 8- or 16-bit one is not a float64."""
-    _check_integer("subsystem count", r)
+    and 1 / sqrt(d) of an 8- or 16-bit one is not a float64.
+
+    r is at most MAX_DIM.bit_length() at every d: above it d**r > MAX_DIM
+    for d >= 2, and at d = 1 the bound keeps the 2r tensor axes within
+    numpy's limit (32 axes in numpy 1.x).
+    """
+    _check_integer("subsystem count", r)  # r > bound runs before the rule
     _check_integer("local dimension", d)
-    r, d = operator.index(r), operator.index(d)
-    if r < 1:
-        raise ValueError(f"subsystem count must be positive, got {_shown(r)}")
+    d, bound = operator.index(d), MAX_DIM.bit_length()
     if d < 1:
         raise ValueError(f"local dimension must be positive, got {_shown(d)}")
     if d > MAX_DIM:  # then d**r > MAX_DIM, and d may have too many digits to print
         raise ValueError(f"local dimension exceeds guard {MAX_DIM}")
-    if d > 1 and r > MAX_DIM.bit_length():  # then d**r > MAX_DIM: skip the power
+    if d > 1 and r > bound:  # then d**r > MAX_DIM: skip the power
         # and r, which may have too many digits to print
-        raise ValueError(
-            f"total dimension {d}^r for r > {MAX_DIM.bit_length()} exceeds guard {MAX_DIM}"
-        )
+        raise ValueError(f"total dimension {d}^r for r > {bound} exceeds guard {MAX_DIM}")
+    r = _check_r(r, bound, name="subsystem count")
     dim = d**r
     if dim > MAX_DIM:
         raise ValueError(f"total dimension {d}^{r} = {dim} exceeds guard {MAX_DIM}")
@@ -322,8 +324,10 @@ def _pairs_state(r: int, d: int, pairs: list[tuple[int, int]]) -> DensityMatrix:
 def basis_product_state(r: int, d: int, levels: tuple[int, ...] | None = None) -> DensityMatrix:
     """|levels><levels| in the computational basis (default all zeros)."""
     r, d, dim = _check_dims(r, d)
-    if levels is None:
-        levels = (0,) * r
+    try:
+        levels = (0,) * r if levels is None else tuple(levels)
+    except TypeError:
+        raise TypeError(f"levels must be an iterable, got {_shown(levels)}") from None
     for x in levels:
         _check_integer("level", x)
     if len(levels) != r or not all(0 <= x < d for x in levels):

@@ -264,6 +264,17 @@ class TestStateFactory:
         )
         assert basis_product_state(2, 2, levels=(np.int8(1), 0)).entries[2, 2] == 1.0
 
+    def test_levels_read_once_from_any_iterable(self):
+        # a generator was spent by the entry check before len() saw it
+        rho = basis_product_state(2, 2, (x for x in (0, 1)))
+        assert np.array_equal(rho.entries, basis_product_state(2, 2, (0, 1)).entries)
+        assert basis_product_state(2, 3, [2, 1]).entries[7, 7] == 1.0
+
+    def test_non_iterable_levels_named(self):
+        # was "'int' object is not iterable"
+        with pytest.raises(TypeError, match="^levels must be an iterable, got 5$"):
+            basis_product_state(2, 2, 5)
+
     def test_ghz(self):
         rho = ghz_state(3, 2)
         assert np.isclose(rho.entries[0, 0], 0.5)
@@ -301,6 +312,23 @@ class TestStateFactory:
         for d in (2, 4096):
             with pytest.raises(ValueError, match=f"^total dimension {d}\\^r for r > 13 exceeds guard"):
                 maximally_mixed_state(10**5000, d)
+
+    @pytest.mark.parametrize("build, r", [
+        (lambda: bell_pair_state(40, 1, 1, 2), 40),
+        (lambda: swap_operator(70, 1, 1, 2), 70),
+        (lambda: DensityMatrix(33, 1, np.ones((1, 1))), 33),
+        (lambda: maximally_mixed_state(np.int8(14), 1), 14),
+    ], ids=["bell", "swap", "constructor", "int8"])
+    def test_subsystem_count_bounded_at_d_1(self, build, r):
+        # d^r = 1 passed every guard, and numpy refused the 2r tensor axes
+        # with "maximum supported dimension for an ndarray is currently 64"
+        with pytest.raises(ValueError, match=f"^subsystem count must be in 1\\.\\.13, got {r}$"):
+            build()
+
+    def test_largest_subsystem_count_at_d_1(self):
+        rho = DensityMatrix(13, 1, np.ones((1, 1)))
+        assert apply_permutation(rho, global_transpose(26)).entries.tolist() == [[1]]
+        assert swap_operator(13, 1, 1, 13).tolist() == [[1]]
 
     @pytest.mark.parametrize("r, d, message", [
         (2.0, 2, "subsystem count must be an integer, got 2.0"),
