@@ -92,11 +92,18 @@ class ArrowConfiguration:
 
     def __post_init__(self) -> None:
         self.__dict__["r"] = r = _check_r(self.r)
+        arrows = self.arrows
+        if not isinstance(arrows, frozenset) or not all(isinstance(a, Arrow) for a in arrows):
+            raise TypeError(f"arrows must be a frozenset of Arrow, got {_shown(arrows)}")
+        self.__dict__["arrows"] = arrows = frozenset(
+            Arrow(_check_integer("arrow tail", t), _check_integer("arrow head", h))
+            for t, h in arrows
+        )
         # a loop occupies its subsystem as both head and tail, so the two
         # uniqueness checks also ban arrows touching a loop's subsystem
         heads: set[int] = set()
         tails: set[int] = set()
-        for a in sorted(self.arrows):
+        for a in sorted(arrows):
             if not (1 <= a.tail <= r and 1 <= a.head <= r):
                 raise ValueError(f"arrow {a.render()} leaves subsystems 1..{_shown(r)}")
             if a.head in heads:
@@ -142,6 +149,9 @@ class ArrowConfiguration:
 
 def type_label(arrow_count: int, loop_count: int) -> str:
     """Structural label: arrows as "R", loops as "QT", coefficient 1 omitted."""
+    counts = (_check_integer("arrow_count", arrow_count), _check_integer("loop_count", loop_count))
+    if min(counts) < 0:
+        raise ValueError(f"counts must be non-negative, got {_shown(counts)}")
     if arrow_count == 0 and loop_count == 0:
         return "trivial"
     parts = []
@@ -159,6 +169,8 @@ class CanonicalKey:
     Loops belong to both sets.  Of the two flip-related candidates the
     constructor demands the one with the smaller rank
     (#heads, tails, heads); ``canonical_key`` always produces that form.
+    The class's other facts are computed on first read and kept in the
+    instance ``__dict__``, outside equality, hash and repr.
     """
 
     r: int
@@ -167,11 +179,11 @@ class CanonicalKey:
 
     def __post_init__(self) -> None:
         self.__dict__["r"] = r = _check_r(self.r)
-        for name, seq in (("heads", self.heads), ("tails", self.tails)):
+        for name in ("heads", "tails"):
+            seq = getattr(self, name)
             if not isinstance(seq, tuple):
                 raise TypeError(f"{name} must be a tuple, got {_shown(seq)}")
-            for k in seq:
-                _check_integer(f"{name} entry", k)
+            self.__dict__[name] = seq = tuple([_check_integer(f"{name} entry", k) for k in seq])
             if list(seq) != sorted(set(seq)):
                 raise ValueError(f"{name} must be strictly sorted: {_shown(seq)}")
             if seq and not (1 <= seq[0] and seq[-1] <= r):
@@ -188,9 +200,9 @@ class CanonicalKey:
     def is_trivial(self) -> bool:
         return not self.heads
 
-    @property
+    @functools.cached_property
     def loop_count(self) -> int:
-        return len(set(self.heads) & set(self.tails))
+        return len(set(self.heads).intersection(self.tails))
 
     @property
     def arrow_count(self) -> int:
@@ -198,14 +210,33 @@ class CanonicalKey:
 
     @property
     def type_label(self) -> str:
-        loops = self.loop_count
-        return type_label(len(self.heads) - loops, loops)
+        return type_label(self.arrow_count, self.loop_count)
 
     @property
     def partner_label(self) -> str:
         """Type of the flip partner, the other drawing of the same class: the
-        arrows reversed, and a loop on each of the r - 2a - l free subsystems."""
-        return type_label(self.arrow_count, self.r - len(set(self.heads) | set(self.tails)))
+        arrows reversed, and a loop on each of the r - |H| - a free subsystems."""
+        arrows = self.arrow_count
+        return type_label(arrows, self.r - len(self.heads) - arrows)
+
+    @functools.cached_property
+    def drawing(self) -> tuple[tuple[int, int], ...]:
+        """(tail, head) pairs of the class's simplest drawing: a loop on each
+        subsystem in both sets, then the remaining tails paired in sorted
+        order with the remaining heads."""
+        loops = set(self.heads).intersection(self.tails)
+        tails = [k for k in self.tails if k not in loops]
+        heads = [k for k in self.heads if k not in loops]
+        return tuple([(k, k) for k in self.heads if k in loops] + list(zip(tails, heads)))
+
+    @functools.cached_property
+    def transpose_partner(self) -> "CanonicalKey":
+        """Key of compose(global transpose, sigma) for sigma in this class:
+        the transpose turns the parity profile's heads into complemented
+        tails and back, so the sets swap roles and are flip-reduced.  The two
+        classes' norms agree on Hermitian operators only (rho^T = conj(rho)).
+        """
+        return _adopted_key(self.r, *_reduce_sorted(self.r, self.tails, self.heads))
 
     @property
     def rank(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -344,16 +375,6 @@ def _transposition_of_arrow(tail: int, head: int) -> tuple[int, int]:
     return (2 * tail, 2 * head - 1)
 
 
-def _arrows_of_sets(heads: Iterable[int], tails: Iterable[int]) -> list[tuple[int, int]]:
-    """(tail, head) pairs of the simplest drawing of these head and tail
-    sets: a loop on each subsystem in both, then the remaining tails paired
-    in sorted order with the remaining heads."""
-    loops = set(heads) & set(tails)
-    arrow_heads = sorted(set(heads) - loops)
-    arrow_tails = sorted(set(tails) - loops)
-    return [(k, k) for k in sorted(loops)] + list(zip(arrow_tails, arrow_heads))
-
-
 def _permutation_of_arrows(r: int, arrows: Iterable[tuple[int, int]]) -> Permutation:
     """Product of the arrows' transpositions, composed in the given order.
 
@@ -477,16 +498,9 @@ def _reduce_sorted(
     return heads, tails
 
 
-def _reduce_sets(
-    r: int, heads: Iterable[int], tails: Iterable[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``_reduce_sorted`` of sets given in any order, as any iterables."""
-    return _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails)))
-
-
 def _reduced_key(r: int, heads: Iterable[int], tails: Iterable[int]) -> CanonicalKey:
-    """The key of the class with these (heads, tails) sets."""
-    return _adopted_key(r, *_reduce_sets(r, heads, tails))
+    """The key of the class with these (heads, tails) sets, in any order."""
+    return _adopted_key(r, *_reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails))))
 
 
 def _adopted_key(r: int, heads: tuple[int, ...], tails: tuple[int, ...]) -> CanonicalKey:
@@ -498,16 +512,6 @@ def _adopted_key(r: int, heads: tuple[int, ...], tails: tuple[int, ...]) -> Cano
     key = object.__new__(CanonicalKey)
     key.__dict__.update(r=r, heads=heads, tails=tails)
     return key
-
-
-def _transpose_key(key: CanonicalKey) -> CanonicalKey:
-    """Key of compose(global transpose, sigma) for sigma in key's class.
-
-    The transpose sends row slots to column slots on the input side, so the
-    parity profile turns heads into complemented tails and back: the sets
-    swap roles and are flip-reduced.
-    """
-    return _adopted_key(key.r, *_reduce_sorted(key.r, key.tails, key.heads))
 
 
 def _rewrite(
@@ -701,10 +705,6 @@ def canonical_key(sigma: Permutation) -> CanonicalKey:
     return _adopted_key(r, *_reduce_sorted(r, heads, tails, (odd, even)))
 
 
-def key_of_configuration(config: ArrowConfiguration) -> CanonicalKey:
-    return _reduced_key(config.r, config.heads, config.tails)
-
-
 def _equivalence(
     sigma: Permutation, tau: Permutation
 ) -> tuple[CanonicalKey, CanonicalKey, Permutation, bool]:
@@ -742,5 +742,5 @@ def canonicalize(sigma: Permutation) -> CanonicalizationTrace:
         input_cycles=cycle_decomposition(sigma),
         steps=tuple(steps),
         configuration=config,
-        key=key_of_configuration(config),
+        key=_reduced_key(config.r, config.heads, config.tails),
     )

@@ -57,16 +57,17 @@ def _shown(value) -> str:
     return f"{'-' if value < 0 else ''}<{int(value).bit_length()}-bit integer>"
 
 
-def _check_integer(name: str, value) -> None:
-    """TypeError naming the argument unless value is a non-bool integer.
-
-    A float would pass the range guards and fail deep inside, in range()
-    or an array shape, with a message that names nothing.
-    """
+def _check_integer(name: str, value) -> int:
+    """value as a Python int, whose arithmetic cannot wrap as a numpy
+    integer's does; a TypeError naming the argument unless it is a
+    non-bool integer, since a float would pass the range guards and fail
+    deep inside, in range() or an array shape, with a message that names
+    nothing."""
     if type(value) is int:  # the ABC check below costs about 0.7 us a call
-        return
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,7 @@ def _check_r(r, limit: int | None = None, name: str = "r") -> int:
     """The subsystem-count rule: an integer in 1..limit, or with no limit
     one whose degree 2r passes ``_check_degree``; returned as a Python int,
     since a numpy integer's 2 * r or r + 1 would wrap around."""
-    _check_integer(name, r)
-    r = operator.index(r)
+    r = _check_integer(name, r)
     if limit is not None:
         if not 1 <= r <= limit:
             raise ValueError(f"{name} must be in 1..{limit}, got {_shown(r)}")

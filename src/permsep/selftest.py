@@ -19,7 +19,7 @@ import numpy as np
 
 from ._defaults import CHECK_NAMES, DEFAULT_SEED
 from .perms import Permutation, compose, inverse, parse_permutation, _parity_kind
-from .arrows import _flip_sets, _reduce_sets, _rewrite, canonical_key, type_label
+from .arrows import CanonicalKey, _flip_sets, _reduced_key, _rewrite, canonical_key, type_label
 from .normgroup import CensusRow, census_by_type, census_records, enumerate_classes
 from .normgroup import _parity_filter, group_elements, representative_permutation
 from .states import (
@@ -27,7 +27,6 @@ from .states import (
     VERDICT_TOLERANCE,
     _check_seed,
     _pure_vector,
-    _real_layout,
     _swap_pairing,
     apply_permutation,
     bell_pair_state,
@@ -73,11 +72,11 @@ def _enumerated_census(r: int) -> list[CensusRow]:
     ]
 
 
-def _rewrite_key(images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Flip-reduced key of the rewrite normal form: the route independent of
-    the closed form in ``canonical_key``."""
+def _rewrite_key(images: tuple[int, ...]) -> CanonicalKey:
+    """Key of the rewrite normal form: the route independent of the closed
+    form in ``canonical_key``."""
     arrows = _rewrite(images)
-    return _reduce_sets(len(images) // 2, (h for _, h in arrows), (t for t, _ in arrows))
+    return _reduced_key(len(images) // 2, (h for _, h in arrows), (t for t, _ in arrows))
 
 
 # --- the checks -----------------------------------------------------------------
@@ -241,7 +240,7 @@ def _check_structured_routes(seed: int) -> tuple[bool, str]:
     bound = np.sqrt(pure.dim) * delta
     if not bound < 1e-3 * VERDICT_TOLERANCE:
         return False, f"pure state's certificate {bound:.1e} does not admit the pure route"
-    paired = [key for key in enumerate_classes(4) if _real_layout(key, 2) is not None]
+    paired = [k for k in enumerate_classes(4) if k.arrow_count and k.transpose_partner == k]
     worst, orbits = 0.0, 0
     for rho in (pure, symmetric, mixed):
         m = rho.entries

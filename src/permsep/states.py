@@ -28,7 +28,7 @@ import numpy as np
 from ._defaults import VERDICT_TOLERANCE
 from .perms import Permutation, _check_integer, _check_r, _shown
 from .normgroup import MAX_CLASS_R, enumerate_classes, representative_permutation
-from .arrows import CanonicalKey, _arrows_of_sets, _reduced_key, _transpose_key
+from .arrows import CanonicalKey, _reduced_key
 from ._lapack import _blas_threads_for, _factor_in_place, _share, _worker_count
 
 __all__ = [
@@ -417,10 +417,9 @@ def detector_state(key: CanonicalKey, d: int) -> DensityMatrix:
     r, d, _ = _check_dims(key.r, d)
     if d < 2:
         raise ValueError(f"local dimension must be at least 2, got {_shown(d)}")
-    arrows = _arrows_of_sets(key.heads, key.tails)
-    loops = [t for t, h in arrows if t == h]
+    loops = [t for t, h in key.drawing if t == h]
     free = sorted(set(range(1, r + 1)) - set(key.heads) - set(key.tails))
-    pairs = [(t, h) for t, h in arrows if t != h] + list(zip(loops, free))
+    pairs = [(t, h) for t, h in key.drawing if t != h] + list(zip(loops, free))
     return _pairs_state(r, d, pairs)
 
 
@@ -465,7 +464,7 @@ def _plan(r: int) -> tuple[tuple[CanonicalKey, Permutation, int | None], ...]:
         if key.is_trivial:
             continue
         # look up before registering: a self-paired class has no earlier partner
-        partner = index_of.get(_transpose_key(key))
+        partner = index_of.get(key.transpose_partner)
         index_of[key] = len(plan)
         plan.append((key, representative_permutation(key), partner))
     return tuple(plan)
@@ -660,24 +659,21 @@ def _swap_pairing(herm: DensityMatrix, limit: float) -> tuple[tuple | None, str]
 
 
 @functools.cache
-def _real_layout(key: CanonicalKey, d: int) -> np.ndarray | None:
-    """The basis permutation s of the class's subsystem involution pi, or None.
+def _real_layout(key: CanonicalKey, d: int) -> np.ndarray:
+    """The basis permutation s of the subsystem involution pi that swaps
+    the tail and head of each arrow of the key's drawing.
 
     conj(h) is the Hermitian h permuted by the global transpose t, so
     sigma t sigma^-1 takes h permuted by the representative sigma to its
-    conjugate.  It sends each 2k - 1 to 2 pi(k) - 1 and 2k to 2 pi(k)
-    exactly for the self-paired arrow classes, whose key the transpose
-    keeps; there pi swaps the tail and head of each of sigma's arrows.
+    conjugate.  It is pi on rows and columns alike exactly for the arrow
+    classes that are their own transpose partner, as ``_chunks`` picks.
     """
-    if not key.arrow_count or _transpose_key(key) != key:
-        return None
-    return _involution_basis(key.r, d, _arrows_of_sets(key.heads, key.tails))
+    return _involution_basis(key.r, d, key.drawing)
 
 
-def _real_form(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Re a - (Im a) P, P the permutation matrix of s, written into the
-    float64 out, or else over the C-contiguous a's own buffer, which no one
-    reads afterwards.
+def _real_form(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Re a - (Im a) P, P the permutation matrix of s, written over the
+    C-contiguous a's own buffer, which no one reads afterwards.
 
     As P a P = conj(a), which a[s][:, s] == conj(a) states, and P^2 = I,
     U = (I + iP) / sqrt(2) is unitary and U^dagger a U is that real matrix,
@@ -685,8 +681,7 @@ def _real_form(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> n
     within a's complex row i // 2, so blocks of rows, each read whole before
     it is written, in increasing order, overwrite no row before it is read.
     """
-    if out is None:
-        out = a.view(np.float64).reshape(-1)[: a.size].reshape(a.shape)
+    out = a.view(np.float64).reshape(-1)[: a.size].reshape(a.shape)
     for rows in _row_blocks(len(a)):
         out[rows] = a[rows].real - a[rows].imag[:, s]
     return out
@@ -694,18 +689,16 @@ def _real_form(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> n
 
 def _chunks(herm: DensityMatrix, firsts: list[int]) -> list[tuple[str, list[int]]]:
     """(route, plan indices) of the orbits among firsts that one np.linalg
-    call decomposes together on the Hermitian herm: "eigvalsh" for loop-only
-    classes, "real svd" for self-paired arrow classes (``_real_layout``) and
-    "svd" for the others, each route's orbits cut into chunks of at most
+    call decomposes together on the Hermitian herm, by key: "eigvalsh" with
+    no arrows, "real svd" for its own transpose partner (``_real_layout``)
+    and "svd" otherwise, each route's orbits cut into chunks of at most
     _STACK_BYTES of complex matrices, and at least one matrix."""
     plan, size = _plan(herm.r), max(1, _STACK_BYTES // (16 * herm.dim**2))
     routes: dict[str, list[int]] = {"eigvalsh": [], "real svd": [], "svd": []}
     for i in firsts:
         key = plan[i][0]
-        if key.arrow_count == 0:
-            routes["eigvalsh"].append(i)
-        else:
-            routes["svd" if _real_layout(key, herm.d) is None else "real svd"].append(i)
+        route = "real svd" if key.transpose_partner == key else "svd"
+        routes[route if key.arrow_count else "eigvalsh"].append(i)
     return [
         (route, orbits[k : k + size])
         for route, orbits in routes.items()
@@ -744,7 +737,7 @@ def _decompose_chunk(
     one for each thread at work.
 
     A chunk of one orbit decomposes the permuted array itself, so that no
-    large matrix is copied; its real form is written over its own rows.
+    large matrix is copied; every real form is written over its own rows.
     """
     route, orbits = chunk
     plan, dim = _plan(herm.r), herm.dim
@@ -755,15 +748,13 @@ def _decompose_chunk(
     for j, i in enumerate(orbits):
         key, rep, _ = plan[i]
         a = apply_permutation(herm, rep).entries
+        if route == "real svd":
+            if np.may_share_memory(a, herm.entries):  # d = 1: a view of herm's array
+                a = a.copy()
+            a.setflags(write=True)  # else this call's own array
+            a = _real_form(a, _real_layout(key, herm.d))
         if len(orbits) == 1:
-            if route == "real svd":
-                if np.may_share_memory(a, herm.entries):  # d = 1: a view of herm's array
-                    a = a.copy()
-                a.setflags(write=True)  # else this call's own array
-                a = _real_form(a, _real_layout(key, herm.d))
             stack = a[None]
-        elif route == "real svd":
-            _real_form(a, _real_layout(key, herm.d), stack[j])
         else:
             stack[j] = a
     if route == "eigvalsh":

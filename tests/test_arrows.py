@@ -1,5 +1,6 @@
 """The rewrite system: rules, normal forms, canonical keys, equivalence."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -34,10 +35,9 @@ from permsep import (
     representative_permutation,
     type_label,
 )
-from permsep.arrows import _exchanged, _flip_sets, _reduce_sets, _reduce_sorted, _transpose_key
+from permsep.arrows import _exchanged, _flip_sets, _reduce_sorted, _reduced_key
 from permsep.arrows import _half_tables, _scanned_key, _selector_table
 from permsep.arrows import RewriteStep, _configuration, _prune_cycles, _rewrite, _rewritten
-from permsep.arrows import key_of_configuration
 from permsep.perms import _cycles_of_images, _render_cycles
 from conftest import (
     coset_partition_bruteforce,
@@ -231,8 +231,8 @@ class TestFlip:
                     for tails in itertools.combinations(subsystems, k):
                         want = _lower_ranked(r, heads, tails)
                         assert _reduce_sorted(r, heads, tails) == want
-                        assert _reduce_sets(r, heads, tails) == want
-                        assert _reduce_sets(r, reversed(heads), set(tails)) == want
+                        assert _sets(_reduced_key(r, heads, tails)) == want
+                        assert _sets(_reduced_key(r, reversed(heads), set(tails))) == want
                         ties += 2 * k == r
         assert ties == sum(math.comb(r, r // 2) ** 2 for r in (2, 4, 6))
 
@@ -254,7 +254,11 @@ class TestFlip:
         flipped = tuple(tuple(k for k in range(1, r + 1) if k not in s) for s in (heads, tails))
         assert _reduce_sorted(r, tuple(sorted(heads)), tuple(sorted(tails)), flipped) == want
         for form in (list, frozenset, lambda s: (k for k in s)):
-            assert _reduce_sets(r, form(heads), form(tails)) == want
+            assert _sets(_reduced_key(r, form(heads), form(tails))) == want
+
+
+def _sets(key):
+    return key.heads, key.tails
 
 
 def _lower_ranked(r, heads, tails):
@@ -338,6 +342,31 @@ class TestConfigurationValidity:
         assert str(CanonicalKey(r, (), ())) == f"CanonicalKey(r={r}, heads=(), tails=())"
         with pytest.raises(ValueError, match=rf"^arrow 0->1 leaves subsystems 1\.\.{r}$"):
             ArrowConfiguration(r, frozenset({Arrow(0, 1)}))
+
+    def test_numpy_ends_stored_as_ints(self):
+        # 2 * 100 wrapped to -56 in 8 bits, and the product of the arrow's
+        # transposition adopted those images unchecked
+        c = ArrowConfiguration(100, frozenset({Arrow(np.int8(100), np.int8(1))}))
+        assert {(type(a.tail), type(a.head)) for a in c.arrows} == {(int, int)}
+        assert as_permutation(c) == as_permutation(config(100, (100, 1)))
+        assert as_permutation(c) == permutation_from_cycles([(200, 1)], 200)
+
+    def test_non_integer_end_named(self):
+        # Arrow(1, 2.0) was accepted, and as_permutation failed on a list index
+        with pytest.raises(TypeError, match="^arrow head must be an integer, got 2.0$"):
+            ArrowConfiguration(3, frozenset({Arrow(1, 2.0)}))
+        with pytest.raises(TypeError, match="^arrow tail must be an integer, got True$"):
+            ArrowConfiguration(3, frozenset({Arrow(True, 2)}))
+
+    def test_arrows_must_be_a_frozenset(self):
+        # a set constructed, and hash() then failed on it
+        with pytest.raises(TypeError, match=r"^arrows must be a frozenset of Arrow, got \{Arrow\(tail=1, head=2\)\}$"):
+            ArrowConfiguration(3, {Arrow(1, 2)})
+
+    def test_arrows_must_be_arrows(self):
+        # plain pairs failed on the missing attribute .tail
+        with pytest.raises(TypeError, match=r"^arrows must be a frozenset of Arrow, got frozenset\(\{\(1, 2\)\}\)$"):
+            ArrowConfiguration(3, frozenset({(1, 2)}))
 
     def test_chain_valid_but_not_disjoint(self):
         c = config(3, (1, 2), (2, 3))
@@ -513,6 +542,45 @@ class TestCanonicalKey:
             CanonicalKey(3, (1,), (2.0,))
         assert CanonicalKey(3, (np.int64(1),), (np.int64(2),)) == CanonicalKey(3, (1,), (2,))
 
+    def test_numpy_entries_stored_as_ints(self):
+        # the representative failed to round-trip: 2 * 200 wraps in 8 bits
+        key = CanonicalKey(200, (np.uint8(200),), (np.uint8(1),))
+        assert {type(k) for k in key.heads + key.tails} == {int}
+        assert representative_permutation(key) == permutation_from_cycles([(2, 399)], 400)
+        assert canonical_key(representative_permutation(key)) == key
+
+    @pytest.mark.parametrize("a, l, error, message", [
+        (-1, 2, ValueError, r"counts must be non-negative, got \(-1, 2\)"),
+        (0, -3, ValueError, r"counts must be non-negative, got \(0, -3\)"),
+        (1.5, 0, TypeError, "arrow_count must be an integer, got 1.5"),
+        (1, True, TypeError, "loop_count must be an integer, got True"),
+    ], ids=["negative-arrows", "negative-loops", "float", "bool"])
+    def test_type_label_counts_checked(self, a, l, error, message):
+        # type_label(-1, 2) read '-1R+2QT', and type_label(1.5, 0) '1.5R'
+        with pytest.raises(error, match=f"^{message}$"):
+            type_label(a, l)
+        assert type_label(np.int64(2), np.uint8(1)) == "2R+QT"
+
+
+class TestKeyFacts:
+    """The facts a key computes on first read, kept out of equality, hash
+    and repr."""
+
+    def test_facts_leave_equality_hash_and_repr(self):
+        fresh, read = CanonicalKey(6, (4, 5, 6), (1, 3, 5)), CanonicalKey(6, (4, 5, 6), (1, 3, 5))
+        before = (hash(read), repr(read))
+        assert (read.loop_count, read.type_label, read.drawing) == (1, "2R+QT", ((5, 5), (1, 4), (3, 6)))
+        assert read.transpose_partner == CanonicalKey(6, (2, 4, 6), (1, 2, 3))
+        assert (hash(read), repr(read)) == before
+        assert read == fresh and {read: 1}[fresh] == 1
+
+    def test_facts_are_read_only(self):
+        key = CanonicalKey(4, (2, 4), (1, 3))
+        for name in ("loop_count", "drawing", "transpose_partner"):
+            getattr(key, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(key, name, None)
+
 
 class TestClosedFormKey:
     """The parity-profile key against the rewrite normal form it summarizes."""
@@ -521,12 +589,12 @@ class TestClosedFormKey:
         for r in range(1, 5):
             for images in itertools.permutations(range(1, 2 * r + 1)):
                 sigma = Permutation(images)
-                assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
+                assert canonical_key(sigma) == _key_of(normal_form(sigma))
 
     @property_settings
     @given(st.integers(5, 12).flatmap(permutations_of_degree))
     def test_matches_rewrite_at_large_r(self, sigma):
-        assert canonical_key(sigma) == key_of_configuration(normal_form(sigma))
+        assert canonical_key(sigma) == _key_of(normal_form(sigma))
 
     @property_settings
     @given(st.data())
@@ -589,7 +657,8 @@ class TestTransposeKey:
             tau = global_transpose(2 * r)
             for key in enumerate_classes(r):
                 rep = representative_permutation(key)
-                assert _transpose_key(key) == canonical_key(compose(tau, rep))
+                assert key.transpose_partner == canonical_key(compose(tau, rep))
+                assert key.transpose_partner.transpose_partner == key
 
 
 class TestKeyDrawing:
@@ -601,6 +670,7 @@ class TestKeyDrawing:
                 config = normal_form(representative_permutation(key))
                 loops = set(key.heads) & set(key.tails)
                 assert config.loops == loops
+                assert config.arrows == {Arrow(t, h) for t, h in key.drawing}
                 assert (config.heads, config.tails) == (set(key.heads), set(key.tails))
                 assert len(config.arrows) - len(loops) == key.arrow_count
                 assert key.type_label == _label(config)
@@ -609,6 +679,10 @@ class TestKeyDrawing:
 
 def _label(config: ArrowConfiguration) -> str:
     return type_label(len(config.arrows) - len(config.loops), len(config.loops))
+
+
+def _key_of(config: ArrowConfiguration) -> CanonicalKey:
+    return _reduced_key(config.r, config.heads, config.tails)
 
 
 class TestEquivalent:

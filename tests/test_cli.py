@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import weakref
 
@@ -14,7 +15,7 @@ from permsep import (
     DensityMatrix, _lapack, bell_pair_state, maximally_mixed_state, random_state, states, write_state_file,
 )
 from permsep import Permutation, census_records, cli, enumerate_classes, selftest
-from permsep.arrows import _arrows_of_sets, _permutation_of_arrows
+from permsep.arrows import _permutation_of_arrows
 from permsep.cli import main
 from permsep.selftest import CHECK_NAMES, CheckResult
 
@@ -194,7 +195,7 @@ def _recorded_writes(monkeypatch) -> list:
 
 
 def _built_rep(key) -> str:
-    return str(_permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails)))
+    return str(_permutation_of_arrows(key.r, key.drawing))
 
 
 def _class_lines(command: str, r: int, fmt: str) -> str:
@@ -229,9 +230,61 @@ def _class_lines(command: str, r: int, fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# sha256 of each census output as recorded: _class_lines reads the same key
+# facts as the CLI, so only fixed bytes catch a wrong count, label or drawing
+CENSUS_DIGESTS = {
+    ("list", "text", 1): "b7f697c1ae46af789dc0eee6842c1244583f83a7cc24d1c4b6a6b75128cae966",
+    ("list", "text", 2): "ade56c7d9fcd84dd5c9cff993dd37cc07d7807fcf1b90a3869a2edea3b967ca0",
+    ("list", "text", 3): "0eb9f507a048e07cbeead46d827c6e89a85a345a19f2158d98ee4e6668add6e0",
+    ("list", "text", 4): "49f50ec2f85bdfdef5b590253012f7de89663b8796eb2f682e4aea9e97b48b3d",
+    ("list", "text", 5): "ba7c910de56a9b7a4f1115ec99e294f337206b88e890c509d7491d6436b1ece7",
+    ("list", "text", 6): "906d54125b102ec8b8dd67854baca7950e09fee82708544c20c7353df1fdf0ba",
+    ("list", "text", 7): "ea957ac12e7d941f7962b1c78f6e9c78b4becbae2362cd48af5bc9890aefc126",
+    ("list", "text", 8): "faf9fbd36180d484c0f1d4d027fbd936cd92ff7ef455e2a160aa1dcc1501082a",
+    ("list", "csv", 1): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("list", "csv", 2): "6da5b8bf8ac79f4b2f648916d92c5bc01c31bb763734a2274b5272fb87866d75",
+    ("list", "csv", 3): "941e655ce7899eab89d3bf3b3b66ba4d116cbaaa79bbfbc1d40d5721a003cabc",
+    ("list", "csv", 4): "fb6c9fa797053389d592bd320121f824a36bccd6b3f6ce8b36b6ed2dd56e470d",
+    ("list", "csv", 5): "a6e19a11f3670a8d39d3f5f069c3deedeec5b7be652ad2d96d376dfdc7e5aba1",
+    ("list", "csv", 6): "4be1bd2f8991b3498bc79babf9e619e23976810df767f7afbd81a75265ab5e31",
+    ("list", "csv", 7): "93ee451dd78a1c9dc77484c9ff5434c03af4b6a079c5938e7f458899c98a36b8",
+    ("list", "csv", 8): "e4841f34ab8f843bd7405dc49cd2b30925e41c296816c15a9183ad1280afa780",
+    ("enumerate-cosets", "text", 1): "e0c4c850da077dc5218aeee933f79a1cf6bd08ed175f5e0e66aefd18fd37238f",
+    ("enumerate-cosets", "text", 2): "ebcfec4cdd7b1f9210f78e31d1810574d48425fcdc5141ac551a61b6d6848c9f",
+    ("enumerate-cosets", "text", 3): "6bf3131bda1569ab9404fabeda16c2c5a6acf442ed036a12b45e40d7b12771e6",
+    ("enumerate-cosets", "text", 4): "e3a47691f4b4d227538bdf956ae7c4d5adeb95d24dc66e5c1d9f88420a230e77",
+    ("enumerate-cosets", "text", 5): "5c7c66f8374e077e13a7462a4910253a22bbe2a9f9ff6740658312abadfeab1a",
+    ("enumerate-cosets", "text", 6): "1d749d9e97aeea68d456268fa7a747c419dda01789bfdf50630cfcd995a2c252",
+    ("enumerate-cosets", "text", 7): "61eaacf5c8c097753ce0e6fb7c7a9240f4c893c35b977a789ad9af1069cafefa",
+    ("enumerate-cosets", "text", 8): "3381ef380e413c54bba9e677a22d8475cbb689cffbd6835a035790d77c14ec19",
+    ("enumerate-cosets", "csv", 1): "97eac62e75ee5a4c343be6353c6ec8cec28064d2ed91fa32403b0429df0829e4",
+    ("enumerate-cosets", "csv", 2): "a6c4bf89d7bd0da4025a154fa21ecb95c4f8844109e39c9cbf92228ba5360f52",
+    ("enumerate-cosets", "csv", 3): "bd6e14480ea3795c80e4b0217f7830def06a83b397989d3e485257c221fa9fb7",
+    ("enumerate-cosets", "csv", 4): "d4f80127a54764202a0292a8a3295937cf92f6d1f9b38e1572c94633f88dcf0a",
+    ("enumerate-cosets", "csv", 5): "5b863454eeea0926e9dd01739497e0b519429062a2c0591d84e834114b9c1229",
+    ("enumerate-cosets", "csv", 6): "eae8484b54df30eabd108267eaa8e69342ed9cd8a13182f2cfd3a986a6dfb75f",
+    ("enumerate-cosets", "csv", 7): "8708caaa37b2f4bf2f45f555c8f7c46a4f37ae40780ac41c6aa2add4a2d105bb",
+    ("enumerate-cosets", "csv", 8): "9f53a5ab58f1c71d26a51f9c4800bc4117979a5528ea62c196bd89dd8f9a28de",
+}
+WORKED_EXAMPLE_SKETCH_DIGEST = "bc032cc7b7e2dc781773b3a4cf2c558ad3d9705a8cbb6fa18d7e58114e32dd4a"
+
+
 class TestClassListings:
     """``list`` and ``enumerate-cosets`` read the table of representatives;
     they, ``canon`` and ``equiv`` write once."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("command", ["list", "enumerate-cosets"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_recorded_bytes(self, runner, command, fmt, r):
+        result = invoke(runner, command, "-r", str(r), "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == CENSUS_DIGESTS[command, fmt, r]
+
+    def test_recorded_bytes_of_the_worked_example_sketch(self, runner):
+        result = invoke(runner, "canon", "-r", "6", "--trace", "--sketch", "(3,12,1,2,10,8)(4,5,6)")
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == WORKED_EXAMPLE_SKETCH_DIGEST
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("command", ["list", "enumerate-cosets"])

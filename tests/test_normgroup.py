@@ -27,7 +27,7 @@ from permsep import (
     type_label,
 )
 from permsep import normgroup, selftest
-from permsep.arrows import _arrows_of_sets, _permutation_of_arrows, _reduced_key
+from permsep.arrows import _permutation_of_arrows, _reduced_key
 from permsep.normgroup import MAX_CLASS_R, _parity_filter
 from conftest import random_permutation
 
@@ -201,7 +201,7 @@ class TestRepresentative:
     def test_table_holds_the_construction(self, r):
         for key in enumerate_classes(r):
             rep = representative_permutation(key)
-            assert rep == _permutation_of_arrows(r, _arrows_of_sets(key.heads, key.tails))
+            assert rep == _permutation_of_arrows(r, key.drawing)
             assert type(rep.images) is tuple and canonical_key(rep) == key
 
     def test_each_representative_checked_once(self, fresh_table, monkeypatch):
@@ -214,8 +214,8 @@ class TestRepresentative:
         assert len(calls) == class_count(4)
 
     def test_corrupted_construction_fails_when_the_table_is_built(self, fresh_table, monkeypatch):
-        real = normgroup._arrows_of_sets
-        monkeypatch.setattr(normgroup, "_arrows_of_sets", lambda h, t: real(h, t)[:-1])
+        real = normgroup._permutation_of_arrows
+        monkeypatch.setattr(normgroup, "_permutation_of_arrows", lambda r, arrows: real(r, arrows[:-1]))
         with pytest.raises(RuntimeError, match="fails to round-trip"):
             representative_permutation(CanonicalKey(3, (), ()))
         monkeypatch.undo()
@@ -226,10 +226,10 @@ class TestRepresentative:
         key = CanonicalKey(MAX_CLASS_R + 4, (1, 5, 9), (5, 7, 12))
         monkeypatch.setattr(normgroup, "_representatives", None)  # never consulted
         rep = representative_permutation(key)
-        assert rep == _permutation_of_arrows(key.r, _arrows_of_sets(key.heads, key.tails))
+        assert rep == _permutation_of_arrows(key.r, key.drawing)
         assert canonical_key(rep) == key
-        real = normgroup._arrows_of_sets
-        monkeypatch.setattr(normgroup, "_arrows_of_sets", lambda h, t: real(h, t)[:-1])
+        real = normgroup._permutation_of_arrows
+        monkeypatch.setattr(normgroup, "_permutation_of_arrows", lambda r, arrows: real(r, arrows[:-1]))
         with pytest.raises(RuntimeError, match="fails to round-trip"):
             representative_permutation(key)
 

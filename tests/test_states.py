@@ -47,7 +47,7 @@ from permsep import (
     write_state_file,
 )
 from permsep import _lapack, states
-from permsep.arrows import _reduced_key, _transpose_key
+from permsep.arrows import _reduced_key
 from permsep.states import EIGENVALUE_FLOOR, _read_rows, _read_streamed
 from conftest import (
     apply_permutation_reference,
@@ -661,11 +661,10 @@ def _assert_per_class_norms(rho: DensityMatrix, report) -> None:
             assert rec.norm == report.records[partner].norm
             continue
         permuted = apply_permutation(herm, rec.representative).entries
-        s = states._real_layout(rec.key, rho.d)
         if rec.key.arrow_count == 0:
             assert rec.norm == float(np.abs(np.linalg.eigvalsh(permuted)).sum())
-        elif s is not None:  # a self-paired class: the norm of its real form
-            real = states._real_form(permuted.copy(), s)
+        elif rec.key.transpose_partner == rec.key:  # self-paired: the norm of its real form
+            real = states._real_form(permuted.copy(), states._real_layout(rec.key, rho.d))
             assert rec.norm == trace_norm(real)
         else:
             assert rec.norm == trace_norm(permuted)
@@ -708,7 +707,7 @@ class TestOrbitEvaluation:
         # the transpose pairs of keys, split by the decomposition they take
         for r, svds, eighs in ((6, 220, 31), (7, 826, 63), (8, 3171, 127)):
             keys = enumerate_classes(r)[1:]
-            pairs = {frozenset((key, _transpose_key(key))) for key in keys}
+            pairs = {frozenset((key, key.transpose_partner)) for key in keys}
             loops = [pair for pair in pairs if next(iter(pair)).arrow_count == 0]
             assert (len(pairs) - len(loops), len(loops)) == (svds, eighs)
 
@@ -895,7 +894,7 @@ LIBRARY_PURE_STATES = (
 
 
 def _self_paired_arrow_classes(r: int) -> list:
-    return [key for key in enumerate_classes(r)[1:] if key.arrow_count and _transpose_key(key) == key]
+    return [key for key in enumerate_classes(r)[1:] if key.arrow_count and key.transpose_partner == key]
 
 
 def _conjugating_subsystems(sigma: Permutation) -> tuple[int, ...] | None:
@@ -1005,10 +1004,11 @@ class TestStructuredRoutes:
             found = 0
             for key in enumerate_classes(r):
                 pi = _conjugating_subsystems(representative_permutation(key))
-                s = states._real_layout(key, 2)
-                assert (s is not None) == (pi is not None), key.render()
+                self_paired = bool(key.arrow_count) and key.transpose_partner == key
+                assert self_paired == (pi is not None), key.render()
                 if pi is None:
                     continue
+                s = states._real_layout(key, 2)
                 assert sorted(pi) == list(range(1, r + 1))
                 assert all(pi[pi[k] - 1] == k + 1 for k in range(r))
                 assert np.array_equal(s, _subsystem_basis(r, 2, pi))
@@ -2067,6 +2067,42 @@ class TestWorkerRoute:
         assert len(set(done)) == len(done)
 
 
+def _operator(r: int, d: int, seed: int, hermitian: bool) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d**r, d**r)) + 1j * rng.standard_normal((d**r, d**r))
+    return DensityMatrix(r, d, g + g.conj().T if hermitian else g)
+
+
+def _class_norms(h: DensityMatrix) -> dict:
+    return {
+        key: trace_norm(apply_permutation(h, representative_permutation(key)))
+        for key in enumerate_classes(h.r)
+    }
+
+
+class TestTransposePartner:
+    """A class and its transpose partner, the class of the global transpose
+    times its permutations, have equal norms on every Hermitian operator,
+    whose transpose is its conjugate; but not on every operator."""
+
+    @settings(property_settings, max_examples=60)
+    @given(
+        size=st.sampled_from([(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_partners_agree_on_hermitian_operators(self, size, seed):
+        norms = _class_norms(_operator(*size, seed, hermitian=True))
+        for key, norm in norms.items():
+            partner = key.transpose_partner
+            assert partner.transpose_partner == key
+            assert abs(norm - norms[partner]) <= 1e-12 * norm, key.render()
+
+    def test_partners_differ_on_a_non_hermitian_operator(self):
+        norms = _class_norms(_operator(3, 2, 0, hermitian=False))
+        gaps = [abs(norm - norms[key.transpose_partner]) for key, norm in norms.items()]
+        assert max(gaps) > 1e-3
+
+
 class TestPlan:
     def test_partners_point_back_to_the_transpose_class(self):
         for r in (1, 2, 3, 4, 5):
@@ -2074,7 +2110,7 @@ class TestPlan:
             assert [key for key, _, _ in plan] == enumerate_classes(r)[1:]
             for i, (key, rep, partner) in enumerate(plan):
                 assert rep == representative_permutation(key)
-                partner_key = _transpose_key(key)
+                partner_key = key.transpose_partner
                 earlier = [j for j in range(i) if plan[j][0] == partner_key]
                 assert partner == (earlier[0] if earlier else None)
                 if partner_key == key:

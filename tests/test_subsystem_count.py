@@ -9,6 +9,7 @@ both messages begin with the name r.
 import math
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from permsep import (
 )
 from permsep.arrows import as_permutation, flip
 from permsep.cli import main
-from permsep.normgroup import MAX_CLASS_R, MAX_GROUP_R
+from permsep.normgroup import MAX_CLASS_R, MAX_COUNT_R, MAX_GENERATOR_R, MAX_GROUP_R
 from permsep.perms import _shown
 
 # with no limit, r may be as large as its degree 2r allows
@@ -103,8 +104,8 @@ def _census(r, n):
 NAMES = {
     "ArrowConfiguration": (_configuration, NO_LIMIT, NO_LIMIT),
     "CanonicalKey": (_key, NO_LIMIT, NO_LIMIT),
-    "generators": (_generators, NO_LIMIT, 24),
-    "class_count": (_class_count, NO_LIMIT, 4096),
+    "generators": (_generators, MAX_GENERATOR_R, 24),
+    "class_count": (_class_count, MAX_COUNT_R, MAX_COUNT_R),
     "group_elements": (_group, MAX_GROUP_R, MAX_GROUP_R - 1),
     "enumerate_classes": (_classes, MAX_CLASS_R, MAX_CLASS_R),
     "census_records": (_census, MAX_CLASS_R, MAX_CLASS_R),
@@ -157,7 +158,7 @@ def test_int8_configuration_of_127_subsystems(r):
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: len(generators(np.int8(64))), 64 * 63 + 1),  # 2r wrapped in 8 bits
+    (lambda: len(generators(np.int8(MAX_GENERATOR_R))), MAX_GENERATOR_R * (MAX_GENERATOR_R - 1) + 1),
     (lambda: class_count(np.int8(100)), math.comb(200, 100) // 2),
     (lambda: type(enumerate_classes(np.int8(3))[0].r), int),
     (lambda: type(census_records(np.uint8(3))[0].r), int),
@@ -167,11 +168,30 @@ def test_numpy_r_goes_on_as_a_python_int(call, want):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: generators(0), "r must be positive, got 0"),  # named the degree
-    (lambda: class_count(0), "r must be positive, got 0"),  # returned 0
-    (lambda: class_count(-3), "r must be positive, got -3"),  # math.comb's message
-    (lambda: generators(NO_LIMIT + 1), f"r must be at most sys.maxsize // 2, got {NO_LIMIT + 1}"),
+    (lambda: generators(0), f"r must be in 1..{MAX_GENERATOR_R}, got 0"),  # named the degree
+    (lambda: class_count(0), f"r must be in 1..{MAX_COUNT_R}, got 0"),  # returned 0
+    (lambda: class_count(-3), f"r must be in 1..{MAX_COUNT_R}, got -3"),  # math.comb's message
+    (lambda: generators(NO_LIMIT + 1), f"r must be in 1..{MAX_GENERATOR_R}, got {NO_LIMIT + 1}"),
 ], ids=["generators-zero", "class-count-zero", "class-count-negative", "generators-past-maxsize"])
-def test_unbounded_names_reject_r_by_the_rule(call, message):
+def test_r_generic_names_reject_r_by_the_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("name, call, limit", [
+    ("generators", generators, MAX_GENERATOR_R),
+    ("class_count", class_count, MAX_COUNT_R),
+])
+def test_r_generic_names_answer_fast_at_their_limit(name, call, limit):
+    # generators(300) took 7.4 s and class_count(10**6) 38.4 s before the
+    # limits; at each limit the call is well under 0.1 s
+    start = time.perf_counter()
+    call(limit)
+    assert time.perf_counter() - start < 0.1, name
+    with pytest.raises(ValueError, match=f"^r must be in 1..{limit}, got {limit + 1}$"):
+        call(limit + 1)
+
+
+def test_class_count_at_its_limit_prints():
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits
+    assert len(str(class_count(MAX_COUNT_R))) < sys.get_int_max_str_digits()
